@@ -1,7 +1,8 @@
 """Command-line front end: compute invariants, verify anchors, sweep families.
 
-Exit codes: 0 success, 2 input or parse failure, 3 search-limit refusal,
-4 witness replay mismatch.  All rationals are printed reduced, as
+Exit codes: 0 success, 2 input or parse failure (a malformed document
+included), 3 search-limit refusal, 4 witness replay mismatch or a witness
+that breaks the process rules.  All rationals are printed reduced, as
 ``p/q`` (or a bare integer when the denominator is one).
 """
 
@@ -13,6 +14,7 @@ import dataclasses
 import io
 import json
 import multiprocessing
+import os
 import random
 import sys
 import time
@@ -23,10 +25,10 @@ import networkx as nx
 from tattooing.engine import (
     AllocationPlan,
     ColourSet,
+    EngineError,
     FireEvent,
     Mode,
     Policy,
-    ReplayError,
     Witness,
     replay,
 )
@@ -46,23 +48,20 @@ from tattooing.graphs import (
 )
 from tattooing.oracle import connected_graph_corpus, oracle_invariants
 from tattooing.search import (
+    COST_MODES,
     LimitError,
     Quantity,
     SearchLimits,
     best_index,
     best_index_for_orientation,
+    quantity_mode,
+    quantity_value,
     ratio_set,
 )
 
 PASS = "PASS"
 FAIL = "FAIL"
 DISCREPANCY = "DISCREPANCY"
-
-_QUANTITY_MODES = {
-    "br": Mode.BRUSH,
-    "btau": Mode.FSG,
-    "tau": Mode.BLEND,
-}
 
 
 class InputError(Exception):
@@ -121,16 +120,9 @@ def _limits(args) -> SearchLimits:
     return base
 
 
-def _resolve_mode(args) -> Mode:
-    implied = _QUANTITY_MODES.get(args.quantity)
-    if args.mode is None:
-        return implied if implied is not None else Mode.BLEND
-    chosen = Mode(args.mode)
-    if implied is not None and chosen is not implied:
-        raise InputError(
-            f"{args.quantity} is defined in {implied.value} mode"
-        )
-    return chosen
+def _workers(args) -> int:
+    """``--workers``, capped at the number of CPUs."""
+    return min(args.workers, os.cpu_count() or 1)
 
 
 def _witness_doc(witness: Witness) -> dict:
@@ -177,16 +169,6 @@ def _graph_doc(graph: Graph) -> dict:
     }
 
 
-def _value_from_report(report, quantity: str):
-    if quantity in _QUANTITY_MODES:
-        return report.cost
-    if quantity == "labelsum":
-        return report.label_sum
-    if quantity == "index":
-        return _rational(report.index)
-    return _rational(report.raw_ratio)
-
-
 # ---- compute ----
 
 
@@ -196,7 +178,14 @@ def cmd_compute(args) -> int:
     if args.quantity is None:
         raise InputError("--quantity is required (unless --replay is given)")
     graph, family = _load_graph(args)
-    mode = _resolve_mode(args)
+    # ratio-set is not a Quantity; it implies no mode
+    quantity = (
+        None if args.quantity == "ratio-set" else Quantity(args.quantity)
+    )
+    try:
+        mode = quantity_mode(quantity, Mode(args.mode) if args.mode else None)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     policy = Policy(args.policy)
     limits = _limits(args)
     started = time.monotonic()
@@ -209,7 +198,7 @@ def cmd_compute(args) -> int:
         "quantity": args.quantity,
     }
 
-    if args.quantity == "ratio-set":
+    if quantity is None:
         if args.orientation is None or args.allocate is None:
             raise InputError(
                 "ratio-set needs --orientation CODE and --allocate v:k[,...]"
@@ -233,9 +222,9 @@ def cmd_compute(args) -> int:
             doc["orientation"] = args.orientation
         else:
             report = best_index(
-                graph, mode, policy, limits, workers=args.workers
+                graph, mode, policy, limits, workers=_workers(args)
             )
-        doc["value"] = _value_from_report(report, args.quantity)
+        doc["value"] = _scalar(quantity_value(quantity, report))
         doc["cost"] = report.cost
         doc["label_sum"] = report.label_sum
         doc["raw_ratio"] = _rational(report.raw_ratio)
@@ -266,7 +255,7 @@ def _replay_check(path: str) -> int:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load {path}: {exc}") from exc
-    if not doc.get("witness"):
+    if not isinstance(doc, dict) or not doc.get("witness"):
         raise InputError("document carries no witness to replay")
     try:
         graph = Graph(
@@ -274,27 +263,29 @@ def _replay_check(path: str) -> int:
             tuple((u, v) for u, v in doc["graph"]["edge_list"]),
         )
         witness = _witness_from_doc(doc["witness"])
-        mode = Mode(doc["mode"])
-    except (KeyError, ValueError) as exc:
+        if not 0 <= witness.orientation < (1 << graph.m):
+            raise ValueError(
+                f"orientation code {witness.orientation} out of range"
+            )
+        quantity = Quantity(doc["quantity"])
+        mode = quantity_mode(quantity, Mode(doc["mode"]))
+        claimed = doc["value"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed document: {exc}") from exc
-    outcome = replay(graph, mode, witness)
-    quantity = doc["quantity"]
-    if quantity in _QUANTITY_MODES:
-        value = outcome.primaries_used
-    elif quantity == "labelsum":
-        value = outcome.label_sum
-    elif quantity == "index":
-        value = _rational(outcome.index)
-    else:
-        value = _rational(outcome.raw_ratio)
-    if value != doc["value"]:
+    # a witness that breaks the process rules raises an EngineError
+    try:
+        outcome = replay(graph, mode, witness)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed document: {exc}") from exc
+    value = _scalar(quantity_value(quantity, outcome))
+    if value != claimed:
         print(
-            f"replay mismatch: document says {doc['value']}, "
+            f"replay mismatch: document says {claimed}, "
             f"witness gives {value}",
             file=sys.stderr,
         )
         return 4
-    print(f"replay OK: {quantity} = {value}")
+    print(f"replay OK: {quantity.value} = {value}")
     return 0
 
 
@@ -645,9 +636,7 @@ def _sweep_instances(args) -> list[tuple[str, str, Graph | None, str]]:
 
 
 def _sweep_row(payload):
-    family, params, graph, error, mode_value, policy_value, max_edges = payload
-    mode = Mode(mode_value)
-    policy = Policy(policy_value)
+    family, params, graph, error, mode, policy, limits = payload
     row = {
         "family": family,
         "params": params,
@@ -664,17 +653,15 @@ def _sweep_row(payload):
     if graph is None:
         row["status"] = f"refused: {error}"
         return row
-    limits = SearchLimits(
-        max_edges=max_edges, time_budget=SearchLimits().time_budget
-    )
     started = time.monotonic()
     try:
-        row["br"] = best_index(graph, Mode.BRUSH, policy, limits).cost
-        row["btau"] = best_index(graph, Mode.FSG, policy, limits).cost
-        row["tau"] = best_index(graph, Mode.BLEND, policy, limits).cost
-        chosen = best_index(graph, mode, policy, limits)
-        row["labelsum"] = chosen.label_sum
-        row["index"] = _rational(chosen.index)
+        # the chosen mode is one of the three cost modes
+        reports = {}
+        for quantity, cost_mode in COST_MODES.items():
+            reports[cost_mode] = best_index(graph, cost_mode, policy, limits)
+            row[quantity.value] = reports[cost_mode].cost
+        row["labelsum"] = reports[mode].label_sum
+        row["index"] = _rational(reports[mode].index)
         row["status"] = "ok"
     except LimitError as exc:
         row["status"] = f"refused: {exc}"
@@ -686,17 +673,14 @@ def cmd_sweep(args) -> int:
     instances = _sweep_instances(args)
     mode = Mode(args.mode) if args.mode else Mode.BLEND
     policy = Policy(args.policy)
-    max_edges = (
-        args.max_edges
-        if args.max_edges is not None
-        else SearchLimits().max_edges
-    )
+    limits = _limits(args)
     payloads = [
-        (family, params, graph, error, mode.value, policy.value, max_edges)
+        (family, params, graph, error, mode, policy, limits)
         for family, params, graph, error in instances
     ]
-    if args.workers > 1 and len(payloads) > 1:
-        with multiprocessing.get_context("fork").Pool(args.workers) as pool:
+    workers = _workers(args)
+    if workers > 1 and len(payloads) > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = pool.map(_sweep_row, payloads)
     else:
         rows = [_sweep_row(p) for p in payloads]
@@ -783,9 +767,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="omit elapsed_ms for byte-stable output",
     )
     compute.add_argument(
-        "--json", action="store_true", help="accepted; output is always JSON"
-    )
-    compute.add_argument(
         "--replay",
         default=None,
         metavar="FILE",
@@ -852,7 +833,7 @@ def main(argv=None) -> int:
     except LimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except ReplayError as exc:
+    except EngineError as exc:
         print(f"inconsistent result: {exc}", file=sys.stderr)
         return 4
 

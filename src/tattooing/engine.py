@@ -200,6 +200,12 @@ class Outcome:
     index: Fraction
     witness: Witness
 
+    @property
+    def cost(self) -> int:
+        """``primaries_used``, under the name search and oracle results
+        give it."""
+        return self.primaries_used
+
 
 @dataclass(frozen=True)
 class Deadlock:
@@ -219,7 +225,6 @@ class ProcessState:
     arc_status: tuple[ColourSet | None, ...]
     primaries_present: tuple[tuple[int, ...], ...]
     arrived_blends: tuple[tuple[ColourSet, ...], ...]
-    used_labels: tuple[tuple[ColourSet, ...], ...]
     brush_tokens: tuple[int, ...]
     cost: int
     next_fresh: int
@@ -280,7 +285,6 @@ def initial_state(digraph: Digraph, mode: Mode, plan: AllocationPlan) -> Process
         arc_status=(None,) * g.m,
         primaries_present=tuple(present),
         arrived_blends=((),) * n,
-        used_labels=((),) * n,
         brush_tokens=tuple(tokens),
         cost=plan.total,
         next_fresh=nxt,
@@ -302,9 +306,8 @@ def mutate_pool(state: ProcessState, vertex: int) -> tuple[ColourSet, ...]:
     """Colour sets the vertex could dispatch right now, without augmenting.
 
     BLEND: every non-empty subset of the present primaries plus every
-    arrived blend; FSG: singletons of the present primaries.  Sets the
-    vertex has already dispatched are excluded.  Sorted by weight, then
-    cardinality, then members.
+    arrived blend; FSG: singletons of the present primaries.  Sorted by
+    weight, then cardinality, then members.
     """
     if state.mode is Mode.BRUSH:
         raise ValueError("anonymous brush tokens form no colour pool")
@@ -317,7 +320,6 @@ def mutate_pool(state: ProcessState, vertex: int) -> tuple[ColourSet, ...]:
             for combo in combinations(present, r):
                 pool.add(ColourSet(combo))
         pool.update(state.arrived_blends[vertex])
-    pool.difference_update(state.used_labels[vertex])
     return tuple(sorted(pool, key=ColourSet.sort_key))
 
 
@@ -387,11 +389,8 @@ def fire(
 
     present = set(state.primaries_present[vertex])
     arrived = set(state.arrived_blends[vertex])
-    used = set(state.used_labels[vertex])
     new_needed: set[int] = set()
     for c in sets:
-        if c in used:
-            raise UnavailableColourSetError(f"vertex {vertex} already dispatched {c}")
         if c in arrived:
             continue
         if state.mode is Mode.FSG and c.is_blend:
@@ -419,10 +418,6 @@ def fire(
         else:
             pres[h].add(c.members[0])
     pres[vertex].update(new_needed)
-    used_after = list(state.used_labels)
-    used_after[vertex] = tuple(
-        sorted(used | set(sets), key=ColourSet.sort_key)
-    )
     return ProcessState(
         digraph=d,
         mode=state.mode,
@@ -432,7 +427,6 @@ def fire(
         arrived_blends=tuple(
             tuple(sorted(b, key=ColourSet.sort_key)) for b in blends
         ),
-        used_labels=tuple(used_after),
         brush_tokens=state.brush_tokens,
         cost=state.cost + len(new_needed),
         next_fresh=state.next_fresh
@@ -461,7 +455,6 @@ def _fire_brush(
         arc_status=tuple(status),
         primaries_present=state.primaries_present,
         arrived_blends=state.arrived_blends,
-        used_labels=state.used_labels,
         brush_tokens=tuple(tokens),
         cost=state.cost + aug,
         next_fresh=state.next_fresh,

@@ -295,11 +295,6 @@ def collect_acyclic_orientation_bits(graph: Graph) -> array:
     return out
 
 
-def acyclic_orientation_bits(graph: Graph) -> Iterator[int]:
-    """Deterministic stream of orientation codes, ascending."""
-    yield from collect_acyclic_orientation_bits(graph)
-
-
 def acyclic_orientations(graph: Graph) -> Iterator[Digraph]:
     """Deterministic stream of all acyclic orientations of ``graph``."""
     for code in collect_acyclic_orientation_bits(graph):

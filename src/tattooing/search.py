@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import networkx as nx
 import numpy as np
@@ -71,7 +71,6 @@ from tattooing.engine import (
     ready_vertices,
     replay,
     required_primaries,
-    verify_outcome,
 )
 from tattooing.graphs import Digraph, Graph, collect_acyclic_orientation_bits
 
@@ -85,11 +84,43 @@ class Quantity(Enum):
     RAW_RATIO = "ratio"
 
 
-_MODE_FOR_COST_QUANTITY = {
+# The cost quantities, each with the one mode it is defined in.
+COST_MODES = {
     Quantity.BR: Mode.BRUSH,
     Quantity.BTAU: Mode.FSG,
     Quantity.TAU: Mode.BLEND,
 }
+
+
+def quantity_mode(
+    quantity: Quantity | None, mode: Mode | None = None
+) -> Mode:
+    """The mode a quantity is computed in.
+
+    A cost quantity implies its mode, and ``mode`` may only repeat it.
+    Any other quantity, or none, takes ``mode`` and defaults to BLEND.
+    """
+    implied = COST_MODES.get(quantity)
+    if implied is None:
+        return Mode.BLEND if mode is None else mode
+    if mode is not None and mode is not implied:
+        raise ValueError(
+            f"{quantity.value} is defined in {implied.value} mode"
+        )
+    return implied
+
+
+def quantity_value(quantity: Quantity, result) -> int | Fraction:
+    """The value of ``quantity`` in a result with ``cost``, ``label_sum``,
+    ``raw_ratio`` and ``index``: a search report, a replayed outcome or
+    an oracle result."""
+    if quantity in COST_MODES:
+        return result.cost
+    if quantity is Quantity.MIN_LABEL_SUM:
+        return result.label_sum
+    if quantity is Quantity.INDEX:
+        return result.index
+    return result.raw_ratio
 
 
 class LimitError(RuntimeError):
@@ -169,22 +200,39 @@ def _sort_key(mask: int) -> tuple[int, int, tuple[int, ...]]:
     return key
 
 
-_PREFIX_CACHE: dict[Mode, tuple[int, ...]] = {}
+_PREFIX_CACHE: dict[tuple[Mode, int], tuple[int, ...]] = {}
 
 
-def _cheap_prefix(mode: Mode) -> tuple[int, ...]:
-    """Prefix sums of the cheapest weights t distinct sets can have."""
-    got = _PREFIX_CACHE.get(mode)
+def _distinct_partitions(total: int) -> int:
+    """Number of sets of positive integers that sum to ``total``."""
+    ways = [1] + [0] * total
+    for part in range(1, total + 1):
+        for s in range(total, part - 1, -1):
+            ways[s] += ways[s - part]
+    return ways[total]
+
+
+def _cheap_prefix(mode: Mode, size: int) -> tuple[int, ...]:
+    """Prefix sums of the cheapest weights t distinct sets can have,
+    for t up to ``size``.
+
+    FSG forms singletons only, of weights 1, 2, 3, ...  A set of primaries
+    weighs the sum of its members, so exactly as many sets weigh w as w
+    has partitions into distinct parts.  The table is exact, which keeps
+    the label-sum bound built from it admissible.
+    """
+    got = _PREFIX_CACHE.get((mode, size))
     if got is None:
         if mode is Mode.FSG:
-            weights = list(range(1, 24))
+            weights = list(range(1, size + 1))
         else:
-            weights = sorted(_weight(m) for m in range(1, 1 << 9))[:23]
-        prefix = [0]
-        for w in weights:
-            prefix.append(prefix[-1] + w)
-        got = tuple(prefix)
-        _PREFIX_CACHE[mode] = got
+            weights = []
+            w = 0
+            while len(weights) < size:
+                w += 1
+                weights += [w] * _distinct_partitions(w)
+        got = tuple(accumulate(weights[:size], initial=0))
+        _PREFIX_CACHE[(mode, size)] = got
     return got
 
 
@@ -374,7 +422,9 @@ class _Searcher:
             else None
         )
         self.ticks = 0
-        self.prefix = _cheap_prefix(mode)
+        self.prefix = _cheap_prefix(
+            mode, max(len(a) for a in graph.adjacency())
+        )
         self._plan: tuple[tuple[int, int], ...] = ()
         self._pools: dict = {}
         self._iso_buckets: dict[str, list[tuple[int, nx.DiGraph]]] = {}
@@ -410,22 +460,6 @@ class _Searcher:
             deficit = need_table[d_out] - (deg - d_out)
             lbs += np.maximum(deficit, 0)
         return lbs
-
-    def _brush_costs(self, codes: np.ndarray) -> np.ndarray:
-        g = self.graph
-        costs = np.zeros(len(codes), dtype=np.int64)
-        for v in range(g.n):
-            d_out = np.zeros(len(codes), dtype=np.int32)
-            deg = 0
-            for i, (a, b) in enumerate(g.edges):
-                if a == v:
-                    d_out += ((codes >> i) & 1) ^ 1
-                    deg += 1
-                elif b == v:
-                    d_out += (codes >> i) & 1
-                    deg += 1
-            costs += np.maximum(2 * d_out - deg, 0)
-        return costs
 
     def _rep_for(self, code: int) -> int:
         """First seen code of this orientation's isomorphism class.
@@ -463,15 +497,11 @@ class _Searcher:
         self._tick()
         codes = np.frombuffer(bits, dtype=np.uint64).astype(np.int64)
         total = len(codes)
-        m = self.graph.m
-        if self.mode is Mode.BRUSH:
-            costs = self._brush_costs(codes)
-            cstar = int(costs.min())
-            code = int(codes[int(np.argmin(costs))])
-            witness = self._brush_witness(code)
-            out = self._finish(cstar, m, witness)
-            return self._report(out, total)
         lbs = self._lower_bounds(codes)
+        if self.mode is Mode.BRUSH:
+            code = int(codes[int(np.argmin(lbs))])
+            out = self._finish(*self._fixed_stage_one(code))
+            return self._report(out, total)
         cstar = None
         c = int(lbs.min())
         while cstar is None:
@@ -491,15 +521,14 @@ class _Searcher:
             code = int(codes[idx])
             if self._rep_for(code) == code:
                 reps.append(code)
-        best = self._stage_two(cstar, reps, workers)
-        witness = self._events_to_witness(
-            best["code"], best["events"], best["plan"]
-        )
-        out = self._finish(cstar, best["S"], witness)
-        return self._report(out, total)
+        label_sum, witness = self._stage_two(cstar, reps, workers)
+        return self._report(self._finish(cstar, label_sum, witness), total)
 
-    def _stage_two(self, cstar: int, reps: list[int], workers: int) -> dict:
-        """Minimum label sum at cost ``cstar`` over the representatives.
+    def _stage_two(
+        self, cstar: int, reps: list[int], workers: int = 1
+    ) -> tuple[int, Witness]:
+        """Minimum label sum at cost ``cstar`` over the representatives,
+        with a witness run.
 
         The parallel path splits the representatives round robin and
         merges the per-worker optima by (label sum, orientation code).
@@ -525,11 +554,22 @@ class _Searcher:
             ]
             with _mp_context().Pool(len(chunks)) as pool:
                 results = pool.map(_stage_two_chunk, chunks)
-            hits = [r for r in results if r is not None]
-            S, code, events, plan = min(hits, key=lambda r: (r[0], r[1]))
-            return {"S": S, "code": code, "events": events, "plan": plan}
+            best = min(
+                (b for b in results if b["S"] is not None),
+                key=lambda b: (b["S"], b["code"]),
+            )
+        else:
+            best = self._exhaust(cstar, reps)
+        witness = self._events_to_witness(
+            best["code"], best["events"], best["plan"]
+        )
+        return best["S"], witness
+
+    def _exhaust(self, cstar: int, codes: list[int]) -> dict:
+        """Minimum label sum at cost ``cstar`` over ``codes``, as the
+        ``best`` record of :meth:`_probe`."""
         best: dict = {"S": None, "code": None, "events": None, "plan": None}
-        for code in reps:
+        for code in codes:
             self._tick()
             self._probe(code, cstar, best)
         return best
@@ -547,53 +587,45 @@ class _Searcher:
         )
 
     def _finish(self, cost: int, label_sum: int, witness: Witness) -> Outcome:
-        """Replay the witness through the engine and insist it matches."""
+        """Replay the witness through the engine, once, and insist it
+        gives the cost and label sum the search claims."""
         outcome = replay(self.graph, self.mode, witness)
         if outcome.primaries_used != cost or outcome.label_sum != label_sum:
             raise ReplayError(
                 f"search claims cost {cost}, label sum {label_sum}; "
                 f"replay gives {outcome.primaries_used}, {outcome.label_sum}"
             )
-        verify_outcome(self.graph, outcome)
         return outcome
 
     # ---- per-orientation depth-first search ----
 
-    def min_cost_events(self, code: int) -> tuple[int, list]:
-        """Minimum cost on one orientation, with a completing run."""
-        o = _Orientation(self.graph, code)
-        c = 0
-        for v in range(self.graph.n):
-            t = len(o.out_arcs[v])
-            c += max(
-                0, required_primaries(t, self.mode) - o.d_in[v]
-            )
+    def _fixed_stage_one(self, code: int) -> tuple[int, int, Witness]:
+        """Minimum cost on one orientation, with the label sum and the
+        witness of a run at that cost.
+
+        The search deepens from the orientation's lower bound.  A BRUSH
+        run always meets the bound, and its tokens all weigh one.
+        """
+        cost = int(self._lower_bounds(np.array([code], dtype=np.int64))[0])
+        if self.mode is Mode.BRUSH:
+            return cost, self.graph.m, self._brush_witness(code)
         while True:
-            events = self._probe(code, c, None)
+            events = self._probe(code, cost, None)
             if events is not None:
-                return c, events
-            c += 1
+                break
+            cost += 1
+        label_sum = sum(
+            _weight(mask) for _, assignment in events for _, mask in assignment
+        )
+        witness = self._events_to_witness(code, events, self._plan)
+        return cost, label_sum, witness
 
     def run_fixed(self, code: int) -> IndexReport:
         """Two-stage minimisation restricted to one orientation."""
-        m = self.graph.m
-        if self.mode is Mode.BRUSH:
-            o = _Orientation(self.graph, code)
-            cstar = sum(
-                max(0, len(o.out_arcs[v]) - o.d_in[v])
-                for v in range(self.graph.n)
-            )
-            witness = self._brush_witness(code)
-            out = self._finish(cstar, m, witness)
-            return self._report(out, 1)
-        cstar, _ = self.min_cost_events(code)
-        best: dict = {"S": None, "code": None, "events": None, "plan": None}
-        self._probe(code, cstar, best)
-        witness = self._events_to_witness(
-            best["code"], best["events"], best["plan"]
-        )
-        out = self._finish(cstar, best["S"], witness)
-        return self._report(out, 1)
+        cost, label_sum, witness = self._fixed_stage_one(code)
+        if self.mode is not Mode.BRUSH:
+            label_sum, witness = self._stage_two(cost, [code])
+        return self._report(self._finish(cost, label_sum, witness), 1)
 
     def _probe(self, code: int, budget: int, best: dict | None):
         """Search one orientation.
@@ -993,13 +1025,7 @@ def _stage_two_chunk(args):
         Policy(policy_value),
         SearchLimits(max_edges=max_edges, time_budget=remaining),
     )
-    best: dict = {"S": None, "code": None, "events": None, "plan": None}
-    for code in codes:
-        searcher._tick()
-        searcher._probe(code, cstar, best)
-    if best["S"] is None:
-        return None
-    return (best["S"], best["code"], best["events"], best["plan"])
+    return searcher._exhaust(cstar, codes)
 
 
 def best_index(
@@ -1041,33 +1067,12 @@ def min_cost_for_orientation(
     searcher = _Searcher(
         digraph.graph, mode, policy, limits or SearchLimits()
     )
-    code = digraph.bits()
-    if mode is Mode.BRUSH:
-        cost = 0
-        for v in range(digraph.graph.n):
-            cost += max(0, digraph.out_degree(v) - digraph.in_degree(v))
-        witness = searcher._brush_witness(code)
-        outcome = searcher._finish(cost, digraph.graph.m, witness)
-    else:
-        cost, events = searcher.min_cost_events(code)
-        witness = searcher._events_to_witness(code, events, searcher._plan)
-        outcome = replay(digraph.graph, mode, witness)
-        if outcome.primaries_used != cost:
-            raise ReplayError(
-                f"search claims cost {cost}; replay gives "
-                f"{outcome.primaries_used}"
-            )
-        verify_outcome(digraph.graph, outcome)
-    quantity = {
-        Mode.BRUSH: Quantity.BR,
-        Mode.FSG: Quantity.BTAU,
-        Mode.BLEND: Quantity.TAU,
-    }[mode]
+    outcome = searcher._finish(*searcher._fixed_stage_one(digraph.bits()))
     return InvariantResult(
-        quantity=quantity,
+        quantity=next(q for q, m in COST_MODES.items() if m is mode),
         mode=mode,
         policy=policy,
-        value=cost,
+        value=outcome.primaries_used,
         witness=outcome.witness,
         orientations_searched=1,
     )
@@ -1082,30 +1087,13 @@ def invariant(
     workers: int = 1,
 ) -> InvariantResult:
     """One named quantity of a graph, with a witness run attached."""
-    if quantity in _MODE_FOR_COST_QUANTITY:
-        implied = _MODE_FOR_COST_QUANTITY[quantity]
-        if mode is not None and mode is not implied:
-            raise ValueError(
-                f"{quantity.value} is defined in {implied.value} mode"
-            )
-        mode = implied
-    elif mode is None:
-        mode = Mode.BLEND
+    mode = quantity_mode(quantity, mode)
     report = best_index(graph, mode, policy, limits, workers=workers)
-    value: int | Fraction
-    if quantity in _MODE_FOR_COST_QUANTITY:
-        value = report.cost
-    elif quantity is Quantity.MIN_LABEL_SUM:
-        value = report.label_sum
-    elif quantity is Quantity.INDEX:
-        value = report.index
-    else:
-        value = report.raw_ratio
     return InvariantResult(
         quantity=quantity,
         mode=mode,
         policy=policy,
-        value=value,
+        value=quantity_value(quantity, report),
         witness=report.witness,
         orientations_searched=report.orientations_searched,
     )

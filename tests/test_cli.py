@@ -5,8 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
+import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tattooing.cli import main
 
@@ -248,6 +252,44 @@ class TestReplay:
         assert code == 4
         assert "mismatch" in err
 
+    @pytest.mark.parametrize(
+        "tamper,expect",
+        [
+            (lambda doc: doc["witness"]["events"].reverse(), 4),
+            (lambda doc: doc.pop("quantity"), 2),
+            (lambda doc: doc["witness"].update(initial=[[99, 1]]), 2),
+            (lambda doc: doc["witness"].update(initial=[]), 2),
+            (lambda doc: doc.update(mode="blend", quantity="btau"), 2),
+            (lambda doc: doc["witness"].update(orientation=1 << 5), 2),
+        ],
+        ids=[
+            "events-out-of-order",
+            "no-quantity",
+            "unknown-vertex",
+            "no-allocation",
+            "mode-contradicts-quantity",
+            "orientation-out-of-range",
+        ],
+    )
+    def test_tampered_witness_exit_code(
+        self, capsys, tmp_path, tamper, expect
+    ):
+        path = self.save(
+            capsys,
+            tmp_path,
+            "compute",
+            "--family",
+            "cycle:5",
+            "--quantity",
+            "labelsum",
+            "--no-timing",
+        )
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "compute", "--replay", str(path))
+        assert code == expect
+
     def test_document_without_witness_exits_2(self, capsys, tmp_path):
         path = self.save(
             capsys,
@@ -265,6 +307,86 @@ class TestReplay:
         )
         code, _, _ = run(capsys, "compute", "--replay", str(path))
         assert code == 2
+
+
+def _paths(node, path=()):
+    """The path to every value inside a JSON document, root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.integers(-2, 12),
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["", "blend", "tau", "smallest"]),
+    st.lists(st.integers(-1, 6), max_size=3),
+)
+
+
+@st.composite
+def mutated_documents(draw, base):
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+CYCLE5_DOC = {
+    "graph": {
+        "vertices": 5,
+        "edges": 5,
+        "edge_list": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]],
+    },
+    "mode": "blend",
+    "quantity": "labelsum",
+    "value": 6,
+    "witness": {
+        "orientation": 0,
+        "policy": "smallest",
+        "initial": [[0, 2]],
+        "events": [
+            {"vertex": 0, "assignment": [[0, [1]], [1, [2]]]},
+            {"vertex": 1, "assignment": [[2, [1]]]},
+            {"vertex": 2, "assignment": [[3, [1]]]},
+            {"vertex": 3, "assignment": [[4, [1]]]},
+        ],
+    },
+}
+
+
+class TestReplayFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(mutated_documents(CYCLE5_DOC))
+    def test_mutated_document_exit_code(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "compute", "--replay", str(path))
+        assert code in (0, 2, 4)
+
+    def test_base_document_replays(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(CYCLE5_DOC))
+        code, out, _ = run(capsys, "compute", "--replay", str(path))
+        assert code == 0, out
 
 
 class TestVerify:
@@ -434,6 +556,55 @@ class TestSweep:
         _, serial, _ = run(capsys, *argv)
         _, parallel, _ = run(capsys, *argv, "--workers", "3")
         assert serial == parallel
+
+
+class _InlineContext:
+    """Stands in for a multiprocessing context: records each pool's size
+    and runs its map in this process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize("cpus,sizes", [(None, []), (1, []), (2, [2])])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (
+                "compute", "--family", "cycle:6", "--quantity", "labelsum",
+                "--no-timing",
+            ),
+            ("sweep", "--family", "cycle", "--n", "3..6", "--no-timing"),
+        ],
+        ids=["compute", "sweep"],
+    )
+    def test_workers_capped_at_cpu_count(
+        self, capsys, monkeypatch, argv, cpus, sizes
+    ):
+        _, serial, _ = run(capsys, *argv)
+        context = _InlineContext()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method: context
+        )
+        code, out, err = run(capsys, *argv, "--workers", "64")
+        assert code == 0, err
+        assert context.sizes == sizes
+        assert out == serial
 
 
 class TestParallelCompute:

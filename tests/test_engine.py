@@ -395,12 +395,6 @@ class TestMutatePool:
         st = initial_state(d, Mode.FSG, smallest_plan(v0=2))
         assert mutate_pool(st, 0) == (cs(1), cs(2))
 
-    def test_used_sets_leave_the_pool(self):
-        d = orient(family("cycle:3"), 0)
-        st = initial_state(d, Mode.BLEND, smallest_plan(v0=2))
-        st = fire(st, 0, ((0, cs(1)), (1, cs(2))))
-        assert mutate_pool(st, 0) == (cs(1, 2),)
-
     def test_brush_has_no_pool(self):
         d = orient(family("cycle:3"), 0)
         st = initial_state(d, Mode.BRUSH, smallest_plan(v0=2))

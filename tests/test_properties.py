@@ -168,7 +168,6 @@ class TestPoolContract:
                     for c in combinations(sorted(present), size)
                 }
                 expected.update(state.arrived_blends[vertex])
-            expected -= set(state.used_labels[vertex])
             assert set(mutate_pool(state, vertex)) == expected
             state = fire(state, vertex, dict(assignments[vertex]))
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
-from tattooing.engine import AllocationPlan, Mode, Policy, replay
+from tattooing import engine, search
+from tattooing.engine import AllocationPlan, Mode, Policy, ReplayError, replay
 from tattooing.graphs import (
     Digraph,
     Graph,
@@ -26,6 +29,7 @@ from tattooing.search import (
     min_cost_for_orientation,
     ratio_set,
 )
+from tattooing.search import _cheap_prefix
 
 NO_CAP = SearchLimits(max_edges=30, time_budget=None)
 
@@ -155,6 +159,68 @@ class TestFixedOrientation:
         res = min_cost_for_orientation(d, Mode.BRUSH)
         assert res.value == 5
         assert res.quantity is Quantity.BR
+
+
+class TestCheapPrefix:
+    def test_exact_table_matches_nine_bit_masks(self):
+        # every set of weight at most 9 fits in 9 bits; there are 32
+        weights = sorted(
+            sum(b + 1 for b in range(9) if (mask >> b) & 1)
+            for mask in range(1, 1 << 9)
+        )
+        assert _cheap_prefix(Mode.BLEND, 32) == tuple(
+            accumulate(weights[:32], initial=0)
+        )
+
+    def test_out_degree_beyond_the_old_table(self):
+        d = identity_orientation(family("star:24"))
+        limits = SearchLimits(max_edges=40, time_budget=None)
+        tau = best_index_for_orientation(d, Mode.BLEND, limits=limits)
+        assert tau.cost == 5
+        btau = best_index_for_orientation(d, Mode.FSG, limits=limits)
+        assert btau.cost == 24
+
+
+ANSWERS = {
+    "best_index": lambda g, mode: best_index(g, mode),
+    "best_index_for_orientation": lambda g, mode: best_index_for_orientation(
+        identity_orientation(g), mode
+    ),
+    "min_cost_for_orientation": lambda g, mode: min_cost_for_orientation(
+        identity_orientation(g), mode
+    ),
+    "invariant": lambda g, mode: invariant(g, Quantity.INDEX, mode),
+}
+
+
+class TestOneReplayPerAnswer:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("answer", sorted(ANSWERS))
+    def test_each_answer_replays_once(self, monkeypatch, answer, mode):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return replay(*args)
+
+        # the engine's own name too, which engine.verify_outcome calls
+        monkeypatch.setattr(search, "replay", counting)
+        monkeypatch.setattr(engine, "replay", counting)
+        ANSWERS[answer](family("cycle:5"), mode)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("answer", sorted(ANSWERS))
+    def test_wrong_replay_outcome_raises(self, monkeypatch, answer, mode):
+        def off_by_one(*args):
+            outcome = replay(*args)
+            return dataclasses.replace(
+                outcome, label_sum=outcome.label_sum + 1
+            )
+
+        monkeypatch.setattr(search, "replay", off_by_one)
+        with pytest.raises(ReplayError):
+            ANSWERS[answer](family("cycle:5"), mode)
 
 
 class TestFsgFamilies:
