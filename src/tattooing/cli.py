@@ -54,6 +54,7 @@ from tattooing.search import (
     SearchLimits,
     best_index,
     best_index_for_orientation,
+    min_cost_for_orientation,
     quantity_mode,
     quantity_value,
     ratio_set,
@@ -205,7 +206,12 @@ def cmd_compute(args) -> int:
             )
         digraph = _orientation(graph, args.orientation)
         plan = _parse_allocation(args.allocate, policy)
-        values = ratio_set(digraph, mode, plan, limits)
+        try:
+            values = ratio_set(digraph, mode, plan, limits)
+        except ValueError as exc:
+            # an allocation that names a vertex the graph lacks, or
+            # from which no schedule completes
+            raise InputError(str(exc)) from exc
         doc["orientation"] = args.orientation
         doc["allocation"] = [[v, k] for v, k in plan.initial]
         doc["value"] = [
@@ -408,8 +414,6 @@ def _suite_paper_anchors(limits: SearchLimits) -> list[Row]:
         for n in (3, 4, 5):
             r = best_index(_family(f"joost:{n},{k}"), Mode.FSG, limits=limits)
             rows.append(_check(f"btau(Joost({n},{k})) == {k}", r.cost == k))
-
-    from tattooing.search import min_cost_for_orientation
 
     star_ok = all(
         min_cost_for_orientation(

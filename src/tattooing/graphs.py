@@ -64,19 +64,22 @@ class Graph:
         self._check_connected()
 
     def _check_connected(self) -> None:
-        if self.n == 1:
-            return
-        adj = self.adjacency()
+        """Reject a disconnected graph in memory proportional to the edge
+        count, whatever vertex count it claims."""
+        adj: dict[int, list[int]] = {}
+        for u, v in self.edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         seen = {0}
         stack = [0]
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
+            for w in adj.get(stack.pop(), ()):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         if len(seen) != self.n:
-            missing = min(set(range(self.n)) - seen)
+            # seen holds at most m + 1 ids, so the scan stops early
+            missing = next(x for x in range(self.n) if x not in seen)
             raise DisconnectedGraphError(
                 f"vertex {missing} is not connected to vertex 0"
             )

@@ -1,14 +1,16 @@
 """Exact minimisation of cost and label sum over acyclic orientations.
 
-The search runs in two stages.  Stage one finds the minimum cost (number
-of primaries, or tokens) over all acyclic orientations by iterative
-deepening: every orientation gets an admissible lower bound
-``sum_v max(0, need(outdeg v) - indeg v)`` computed in one vectorised
-pass, and a depth-first feasibility probe is run only on orientations
-whose bound does not exceed the current target.  Stage two revisits the
-surviving orientations and minimises the label sum among runs at the
-optimal cost, again depth first with admissible bounds in both
-coordinates.
+The search finds the lexicographic (cost, label sum) optimum in one
+deepening loop.  Every orientation gets an admissible lower bound
+``sum_v max(0, need(outdeg v) - indeg v)`` on its cost (number of
+primaries, or tokens), computed in one vectorised pass.  A target cost
+``c`` then rises from the least bound; at each ``c`` the orientations
+whose bound does not exceed it are searched exhaustively, depth first
+with admissible bounds in both coordinates, for the least label sum of
+a run costing at most ``c``.  The first ``c`` with any completion is
+the minimum cost, and the best run found there is the answer.  BRUSH
+needs no search: a token run always meets the bound, and every token
+weighs one.
 
 Runs are explored through a single canonical firing order, always the
 smallest ready vertex.  This loses nothing: a vertex fires exactly
@@ -72,7 +74,12 @@ from tattooing.engine import (
     replay,
     required_primaries,
 )
-from tattooing.graphs import Digraph, Graph, collect_acyclic_orientation_bits
+from tattooing.graphs import (
+    Digraph,
+    Graph,
+    collect_acyclic_orientation_bits,
+    orient,
+)
 
 
 class Quantity(Enum):
@@ -153,7 +160,8 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Two-stage optimum for one graph and mode."""
+    """Least cost, then least label sum at that cost, for one graph and
+    mode."""
 
     mode: Mode
     policy: Policy
@@ -173,17 +181,6 @@ class InvariantResult:
     value: int | Fraction
     witness: Witness
     orientations_searched: int
-
-
-def _weight(mask: int) -> int:
-    total = 0
-    i = 1
-    while mask:
-        if mask & 1:
-            total += i
-        mask >>= 1
-        i += 1
-    return total
 
 
 _SORT_KEY_CACHE: dict[int, tuple[int, int, tuple[int, ...]]] = {}
@@ -438,7 +435,7 @@ class _Searcher:
             if time.monotonic() > self.deadline:
                 raise LimitError("time budget exceeded")
 
-    # ---- vectorised stage-one bound ----
+    # ---- vectorised cost bound ----
 
     def _lower_bounds(self, codes: np.ndarray) -> np.ndarray:
         g = self.graph
@@ -490,88 +487,93 @@ class _Searcher:
         self._iso_rep[code] = code
         return code
 
-    # ---- full two-stage search ----
+    # ---- the deepening loop ----
 
     def run(self, workers: int = 1) -> IndexReport:
         bits = collect_acyclic_orientation_bits(self.graph)
         self._tick()
         codes = np.frombuffer(bits, dtype=np.uint64).astype(np.int64)
-        total = len(codes)
+        return self._solve(codes, workers)
+
+    def run_fixed(self, code: int) -> IndexReport:
+        """The same optimum restricted to one orientation."""
+        # a lone orientation is its own class representative
+        self._iso_rep[code] = code
+        return self._solve(np.array([code], dtype=np.int64))
+
+    def _solve(self, codes: np.ndarray, workers: int = 1) -> IndexReport:
+        """Least cost, then least label sum, over the orientations
+        ``codes`` (ascending), replayed once."""
         lbs = self._lower_bounds(codes)
         if self.mode is Mode.BRUSH:
-            code = int(codes[int(np.argmin(lbs))])
-            out = self._finish(*self._fixed_stage_one(code))
-            return self._report(out, total)
-        cstar = None
+            # a token run always meets the bound, and tokens weigh one
+            at = int(np.argmin(lbs))
+            witness = self._brush_witness(int(codes[at]))
+            out = self._finish(int(lbs[at]), self.graph.m, witness)
+            return self._report(out, len(codes))
         c = int(lbs.min())
-        while cstar is None:
+        while True:
+            reps = []
             for idx in np.nonzero(lbs <= c)[0]:
                 self._tick()
                 code = int(codes[idx])
-                if self._rep_for(code) != code:
-                    continue
-                if self._probe(code, c, None) is not None:
-                    cstar = c
-                    break
-            else:
-                c += 1
-        reps = []
-        for idx in np.nonzero(lbs <= cstar)[0]:
-            self._tick()
-            code = int(codes[idx])
-            if self._rep_for(code) == code:
-                reps.append(code)
-        label_sum, witness = self._stage_two(cstar, reps, workers)
-        return self._report(self._finish(cstar, label_sum, witness), total)
+                if self._rep_for(code) == code:
+                    reps.append(code)
+            best = self._search_level(c, reps, workers)
+            if best["S"] is not None:
+                break
+            c += 1
+        witness = self._events_to_witness(
+            best["code"], best["events"], best["plan"]
+        )
+        out = self._finish(c, best["S"], witness)
+        return self._report(out, len(codes))
 
-    def _stage_two(
-        self, cstar: int, reps: list[int], workers: int = 1
-    ) -> tuple[int, Witness]:
-        """Minimum label sum at cost ``cstar`` over the representatives,
-        with a witness run.
+    def _search_level(
+        self, budget: int, reps: list[int], workers: int
+    ) -> dict:
+        """Least label sum at cost at most ``budget`` over the
+        representatives, as the ``best`` record of :meth:`_probe`.
 
         The parallel path splits the representatives round robin and
         merges the per-worker optima by (label sum, orientation code).
         An admissible bound never prunes a completion at the final
         minimum, so the merged witness matches the serial one exactly.
         """
-        if workers > 1 and len(reps) > 1:
-            remaining = None
-            if self.deadline is not None:
-                remaining = max(0.1, self.deadline - time.monotonic())
-            chunks = [
-                (
-                    self.graph,
-                    self.mode.value,
-                    self.policy.value,
-                    self.limits.max_edges,
-                    remaining,
-                    cstar,
-                    reps[w::workers],
-                )
-                for w in range(workers)
-                if reps[w::workers]
-            ]
-            with _mp_context().Pool(len(chunks)) as pool:
-                results = pool.map(_stage_two_chunk, chunks)
-            best = min(
-                (b for b in results if b["S"] is not None),
-                key=lambda b: (b["S"], b["code"]),
+        if workers <= 1 or len(reps) <= 1:
+            return self._exhaust(budget, reps)
+        remaining = None
+        if self.deadline is not None:
+            remaining = max(0.1, self.deadline - time.monotonic())
+        chunks = [
+            (
+                self.graph,
+                self.mode.value,
+                self.policy.value,
+                self.limits.max_edges,
+                remaining,
+                budget,
+                reps[w::workers],
             )
-        else:
-            best = self._exhaust(cstar, reps)
-        witness = self._events_to_witness(
-            best["code"], best["events"], best["plan"]
+            for w in range(workers)
+            if reps[w::workers]
+        ]
+        with _mp_context().Pool(len(chunks)) as pool:
+            results = pool.map(_exhaust_chunk, chunks)
+        # with no completion anywhere, any worker's empty record will do
+        return min(
+            (b for b in results if b["S"] is not None),
+            key=lambda b: (b["S"], b["code"]),
+            default=results[0],
         )
-        return best["S"], witness
 
-    def _exhaust(self, cstar: int, codes: list[int]) -> dict:
-        """Minimum label sum at cost ``cstar`` over ``codes``, as the
-        ``best`` record of :meth:`_probe`."""
+    def _exhaust(self, budget: int, codes: list[int]) -> dict:
+        """Least label sum at cost at most ``budget`` over ``codes``, as
+        the ``best`` record of :meth:`_probe`."""
         best: dict = {"S": None, "code": None, "events": None, "plan": None}
         for code in codes:
             self._tick()
-            self._probe(code, cstar, best)
+            self._probe(code, budget, best)
         return best
 
     def _report(self, outcome: Outcome, total: int) -> IndexReport:
@@ -599,42 +601,9 @@ class _Searcher:
 
     # ---- per-orientation depth-first search ----
 
-    def _fixed_stage_one(self, code: int) -> tuple[int, int, Witness]:
-        """Minimum cost on one orientation, with the label sum and the
-        witness of a run at that cost.
-
-        The search deepens from the orientation's lower bound.  A BRUSH
-        run always meets the bound, and its tokens all weigh one.
-        """
-        cost = int(self._lower_bounds(np.array([code], dtype=np.int64))[0])
-        if self.mode is Mode.BRUSH:
-            return cost, self.graph.m, self._brush_witness(code)
-        while True:
-            events = self._probe(code, cost, None)
-            if events is not None:
-                break
-            cost += 1
-        label_sum = sum(
-            _weight(mask) for _, assignment in events for _, mask in assignment
-        )
-        witness = self._events_to_witness(code, events, self._plan)
-        return cost, label_sum, witness
-
-    def run_fixed(self, code: int) -> IndexReport:
-        """Two-stage minimisation restricted to one orientation."""
-        cost, label_sum, witness = self._fixed_stage_one(code)
-        if self.mode is not Mode.BRUSH:
-            label_sum, witness = self._stage_two(cost, [code])
-        return self._report(self._finish(cost, label_sum, witness), 1)
-
-    def _probe(self, code: int, budget: int, best: dict | None):
-        """Search one orientation.
-
-        With ``best`` None: feasibility probe, returns events of the
-        first completion within ``budget`` or None.  With a ``best``
-        dict: exhaustive minimisation of the label sum at cost at most
-        ``budget``, updating ``best`` on strict improvement.
-        """
+    def _probe(self, code: int, budget: int, best: dict) -> None:
+        """Minimise the label sum on one orientation at cost at most
+        ``budget``, updating ``best`` on strict improvement."""
         o = _Orientation(self.graph, code)
         n = self.graph.n
         need_out = [
@@ -648,7 +617,6 @@ class _Searcher:
             starts = [((), [0] * n, 1, 0)]
         else:
             starts = self._fresh_starts(o, budget)
-        found = None
         for plan, present0, fresh0, cost0 in starts:
             self._plan = plan
             avail = [
@@ -662,7 +630,7 @@ class _Searcher:
             floor_rest = sum(
                 prefix_out[v] for v in range(n) if o.out_arcs[v]
             )
-            found = self._dfs(
+            self._dfs(
                 o,
                 list(present0),
                 [frozenset()] * n,
@@ -679,9 +647,6 @@ class _Searcher:
                 budget,
                 best,
             )
-            if best is None and found is not None:
-                return found
-        return found
 
     def _fresh_starts(self, o: _Orientation, budget: int):
         """Initial allocation count vectors for the FRESH policy."""
@@ -755,34 +720,28 @@ class _Searcher:
         fresh: int,
         events: list,
         budget: int,
-        best: dict | None,
-    ):
+        best: dict,
+    ) -> None:
         self._tick()
         if cost + lb_rem > budget:
-            return None
-        if (
-            best is not None
-            and best["S"] is not None
-            and ssum + floor_rest >= best["S"]
-        ):
-            return None
+            return
+        if best["S"] is not None and ssum + floor_rest >= best["S"]:
+            return
         if remaining == 0:
-            done = list(events)
-            if best is None:
-                return done
-            if best["S"] is None or ssum < best["S"]:
-                best["S"] = ssum
-                best["code"] = o.code
-                best["events"] = done
-                best["plan"] = self._plan
-            return None
+            # nothing is left to fire, so floor_rest is 0 and the check
+            # above has made this a strict improvement
+            best["S"] = ssum
+            best["code"] = o.code
+            best["events"] = list(events)
+            best["plan"] = self._plan
+            return
         v = -1
         for w in range(self.graph.n):
             if not fired[w] and o.out_arcs[w] and in_left[w] == 0:
                 v = w
                 break
         if v < 0:
-            return None
+            return
         todo = o.out_arcs[v]
         live = [i for i in todo if o.live[o.arcs[i][1]]]
         sinks = [i for i in todo if not o.live[o.arcs[i][1]]]
@@ -804,7 +763,7 @@ class _Searcher:
             pool, weights, cheapest = self._pool_for(held, arrived)
             if len(pool) < len(todo):
                 continue
-            hit = self._assignments(
+            self._assignments(
                 ctx,
                 state,
                 pool,
@@ -820,9 +779,6 @@ class _Searcher:
                 budget,
                 best,
             )
-            if best is None and hit is not None:
-                return hit
-        return None
 
     def _assignments(
         self,
@@ -850,15 +806,15 @@ class _Searcher:
         n_live = len(live)
         n_sink = len(sinks)
         bound_base = ssum + rest_floor
-        best_known = best is not None
 
-        def place(pos: int, add: int):
-            if best_known and best["S"] is not None:
+        def place(pos: int, add: int) -> None:
+            if best["S"] is not None:
                 left = n_live - pos + n_sink
                 if bound_base + add + cheapest[left] >= best["S"]:
-                    return None
+                    return
             if pos == n_live:
-                return finish(add)
+                finish(add)
+                return
             cls = classes[live[pos]]
             start = floors.get(cls, 0)
             for pi in range(start, size):
@@ -868,15 +824,12 @@ class _Searcher:
                 chosen.append(pi)
                 prev = floors.get(cls, 0)
                 floors[cls] = pi + 1
-                hit = place(pos + 1, add + weights[pi])
+                place(pos + 1, add + weights[pi])
                 floors[cls] = prev
                 chosen.pop()
                 used[pi] = False
-                if best is None and hit is not None:
-                    return hit
-            return None
 
-        def finish(add: int):
+        def finish(add: int) -> None:
             sink_picks: list[int] = []
             if sinks:
                 for pi in range(size):
@@ -885,7 +838,7 @@ class _Searcher:
                         if len(sink_picks) == n_sink:
                             break
                 if len(sink_picks) < n_sink:
-                    return None
+                    return
                 for pi in sink_picks:
                     add += weights[pi]
             all_picks = chosen + sink_picks
@@ -895,7 +848,7 @@ class _Searcher:
                 if c not in arrived:
                     refs |= c & ~old
             if refs != granted:
-                return None
+                return
             new_present = list(present)
             new_blends = list(blends)
             new_in_left = list(in_left)
@@ -932,7 +885,7 @@ class _Searcher:
                 elif merged:
                     new_avail[h] -= 1
             assignment.sort()
-            return self._dfs(
+            self._dfs(
                 o,
                 new_present,
                 new_blends,
@@ -950,7 +903,7 @@ class _Searcher:
                 best,
             )
 
-        return place(0, 0)
+        place(0, 0)
 
     # ---- witnesses ----
 
@@ -983,49 +936,34 @@ class _Searcher:
         return Witness(code, self.policy, plan, tuple(events))
 
     def _brush_witness(self, code: int) -> Witness:
-        o = _Orientation(self.graph, code)
-        counts: dict[int, int] = {}
+        """Tokens for each vertex's out-degree surplus, then every vertex
+        with out-arcs firing in order, smallest ready id first."""
+        d = orient(self.graph, code)
+        initial = []
         for v in range(self.graph.n):
-            lack = len(o.out_arcs[v]) - o.d_in[v]
+            lack = d.out_degree(v) - d.in_degree(v)
             if lack > 0:
-                counts[v] = lack
-        done = [False] * self.graph.m
-        events = []
-        while True:
-            v = None
-            for w in range(self.graph.n):
-                if any(not done[i] for i in o.out_arcs[w]) and all(
-                    done[i] for i in o.in_arcs[w]
-                ):
-                    v = w
-                    break
-            if v is None:
-                break
-            for i in o.out_arcs[v]:
-                done[i] = True
-            events.append(FireEvent(v))
-        return Witness(
-            code,
-            self.policy,
-            tuple(sorted(counts.items())),
-            tuple(events),
+                initial.append((v, lack))
+        events = tuple(
+            FireEvent(v) for v in d.topological_order() if d.out_arcs(v)
         )
+        return Witness(code, self.policy, tuple(initial), events)
 
 
 def _mp_context():
     return multiprocessing.get_context("fork")
 
 
-def _stage_two_chunk(args):
+def _exhaust_chunk(args):
     """Exhaust one chunk of orientation codes in a worker process."""
-    graph, mode_value, policy_value, max_edges, remaining, cstar, codes = args
+    graph, mode_value, policy_value, max_edges, remaining, budget, codes = args
     searcher = _Searcher(
         graph,
         Mode(mode_value),
         Policy(policy_value),
         SearchLimits(max_edges=max_edges, time_budget=remaining),
     )
-    return searcher._exhaust(cstar, codes)
+    return searcher._exhaust(budget, codes)
 
 
 def best_index(
@@ -1061,19 +999,15 @@ def min_cost_for_orientation(
     policy: Policy = Policy.SMALLEST,
     limits: SearchLimits | None = None,
 ) -> InvariantResult:
-    """Minimum cost over all runs on one fixed acyclic orientation."""
-    if not digraph.is_acyclic():
-        raise ValueError("orientation has a directed cycle")
-    searcher = _Searcher(
-        digraph.graph, mode, policy, limits or SearchLimits()
-    )
-    outcome = searcher._finish(*searcher._fixed_stage_one(digraph.bits()))
+    """Minimum cost over all runs on one fixed acyclic orientation, with
+    the least-label-sum run at that cost as witness."""
+    report = best_index_for_orientation(digraph, mode, policy, limits)
     return InvariantResult(
         quantity=next(q for q, m in COST_MODES.items() if m is mode),
         mode=mode,
         policy=policy,
-        value=outcome.primaries_used,
-        witness=outcome.witness,
+        value=report.cost,
+        witness=report.witness,
         orientations_searched=1,
     )
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tattooing import search
 from tattooing.cli import main
 
 
@@ -209,6 +210,28 @@ class TestComputeOrientation:
             capsys, "compute", "--family", "cycle:3", "--quantity", "ratio-set"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (("--allocate", "99:1"), "names vertex 99"),
+            (("--allocate", "2:1"), "no schedule completes"),
+            (
+                ("--allocate", "0:1", "--mode", "brush"),
+                "without augmentation",
+            ),
+        ],
+        ids=["unknown-vertex", "no-completion", "brush-augmentation"],
+    )
+    def test_ratio_set_allocation_that_cannot_run_exits_2(
+        self, capsys, extra, message
+    ):
+        code, _, err = run(
+            capsys, "compute", "--family", "cycle:5", "--quantity",
+            "ratio-set", "--orientation", "0", *extra,
+        )
+        assert code == 2
+        assert message in err
 
 
 class TestReplay:
@@ -608,11 +631,74 @@ class TestWorkerCap:
 
 
 class TestParallelCompute:
-    def test_workers_do_not_change_the_document(self, capsys):
+    def test_workers_do_not_change_the_document(self, capsys, monkeypatch):
+        # cycle:6 in blend mode has 3 representatives at its least cost
         argv = (
-            "compute", "--family", "friendship:3,4", "--mode", "blend",
+            "compute", "--family", "cycle:6", "--mode", "blend",
             "--quantity", "labelsum", "--no-timing",
         )
         _, serial, _ = run(capsys, *argv)
+        contexts = []
+        real = search._mp_context
+
+        def recording():
+            contexts.append(real())
+            return contexts[-1]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "_mp_context", recording)
         _, parallel, _ = run(capsys, *argv, "--workers", "4")
+        assert len(contexts) == 1
         assert serial == parallel
+
+
+NOISE_LINES = st.one_of(
+    st.sampled_from(["", "# comment", "x y", "1.5 2", "0", "1 2 3", "0x1 2"]),
+    st.tuples(st.integers(-3, 10**6), st.integers(0, 10**6)).map(
+        lambda pair: f"{pair[0]} {pair[1]}"
+    ),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text: a connected graph on up to 7 vertices, in random
+    line order, with up to two defects: a dropped line (a gap or a
+    disconnection), a loop, a duplicate, or a line of noise (a comment,
+    a blank, malformed tokens, a negative id, an id up to 10**6)."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chords = [(u, v) for v in range(n) for u in range(v)]
+    edges |= set(draw(st.lists(st.sampled_from(chords), max_size=3)))
+    lines = [f"{u} {v}" for u, v in draw(st.permutations(sorted(edges)))]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["drop", "loop", "repeat", "noise"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "drop" and lines:
+            del lines[min(at, len(lines) - 1)]
+        elif kind == "loop":
+            v = draw(st.integers(0, n - 1))
+            lines.insert(at, f"{v} {v}")
+        elif kind == "repeat":
+            u, v = draw(st.sampled_from(sorted(edges)))
+            lines.insert(at, f"{v} {u}")
+        else:
+            lines.insert(at, draw(NOISE_LINES))
+    return "\n".join(lines) + "\n"
+
+
+class TestEdgeListFuzz:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(edge_list_texts())
+    def test_edge_list_exit_code(self, capsys, tmp_path, text):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        code, _, _ = run(
+            capsys, "compute", "--input", str(path), "--quantity", "tau",
+            "--max-edges", "6", "--no-timing",
+        )
+        assert code in (0, 2, 3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from tattooing.graphs import (
@@ -50,6 +52,20 @@ class TestGraph:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             Graph(3, ((0, 1),))
+
+    def test_disconnected_check_memory_follows_edges(self):
+        # the claimed vertex count alone must not size any structure
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                DisconnectedGraphError,
+                match="vertex 2 is not connected to vertex 0",
+            ):
+                Graph(10**6, ((0, 1),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

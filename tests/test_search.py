@@ -1,4 +1,4 @@
-"""Two-stage optimiser: costs, label sums, indices, and witnesses."""
+"""Optimiser: costs, label sums, indices, and witnesses."""
 
 from __future__ import annotations
 
@@ -9,7 +9,16 @@ from itertools import accumulate
 import pytest
 
 from tattooing import engine, search
-from tattooing.engine import AllocationPlan, Mode, Policy, ReplayError, replay
+from tattooing.engine import (
+    AllocationPlan,
+    Mode,
+    Policy,
+    ReplayError,
+    fire,
+    initial_state,
+    ready_vertices,
+    replay,
+)
 from tattooing.graphs import (
     Digraph,
     Graph,
@@ -159,6 +168,35 @@ class TestFixedOrientation:
         res = min_cost_for_orientation(d, Mode.BRUSH)
         assert res.value == 5
         assert res.quantity is Quantity.BR
+
+
+class TestOneSearchPath:
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_min_cost_is_the_fixed_optimum(self, mode, policy):
+        # the least cost, witnessed by the least-label-sum run at it
+        for g in connected_graph_corpus(4):
+            for code in collect_acyclic_orientation_bits(g):
+                d = orient(g, code)
+                res = min_cost_for_orientation(d, mode, policy)
+                report = best_index_for_orientation(d, mode, policy)
+                assert res.value == report.cost
+                assert res.witness == report.witness
+
+    def test_brush_witness_fires_the_smallest_ready_vertex(self):
+        for g in connected_graph_corpus(5):
+            for code in collect_acyclic_orientation_bits(g):
+                d = orient(g, code)
+                witness = best_index_for_orientation(d, Mode.BRUSH).witness
+                state = initial_state(
+                    d,
+                    Mode.BRUSH,
+                    AllocationPlan(witness.initial, witness.policy),
+                )
+                for event in witness.events:
+                    assert event.vertex == ready_vertices(state)[0]
+                    state = fire(state, event.vertex)
+                assert state.complete
 
 
 class TestCheapPrefix:
@@ -425,6 +463,9 @@ class TestDeterminism:
             ("friendship:3,2", Mode.BLEND),
             ("cycle:6", Mode.BLEND),
             ("joost:4,3", Mode.FSG),
+            # its least-bound level has 2 representatives and no
+            # completion, so every worker there comes back empty
+            ("star:5", Mode.FSG),
         ],
     )
     def test_parallel_sweep_matches_serial(self, spec, mode):
