@@ -13,14 +13,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import multiprocessing
 import os
 import random
 import sys
 import time
 from fractions import Fraction
-
-import networkx as nx
 
 from tattooing.engine import (
     AllocationPlan,
@@ -40,6 +39,7 @@ from tattooing.formulas import (
 )
 from tattooing.graphs import (
     Digraph,
+    DisconnectedGraphError,
     Graph,
     build_family,
     orient,
@@ -580,6 +580,13 @@ def cmd_verify(args) -> int:
 # ---- sweep ----
 
 
+def _vertex_pair(k: int) -> tuple[int, int]:
+    """The ``k``-th vertex pair ``(u, v)``, ``u < v``, ordered by ``v``
+    and then ``u``."""
+    v = (1 + math.isqrt(1 + 8 * k)) // 2
+    return k - v * (v - 1) // 2, v
+
+
 def _sweep_instances(args) -> list[tuple[str, str, Graph | None, str]]:
     """(family, params, graph, build_error) per requested instance."""
     name = args.family
@@ -608,25 +615,28 @@ def _sweep_instances(args) -> list[tuple[str, str, Graph | None, str]]:
             raise InputError("genfriendship sweeps need --blocks SPEC")
         add(f"genfriendship:{args.blocks}", args.blocks)
     elif name == "random":
-        if args.vertices is None or args.edges is None:
+        n, m = args.vertices, args.edges
+        if n is None or m is None:
             raise InputError(
                 "random sweeps need --vertices N and --edges M"
+            )
+        if n < 2 or not n - 1 <= m <= n * (n - 1) // 2:
+            raise InputError(
+                "a connected graph on --vertices N >= 2 needs "
+                "N-1 <= --edges <= N(N-1)/2"
             )
         rng = random.Random(args.seed)
         produced = 0
         attempts = 0
         while produced < args.count and attempts < 1000 * args.count:
             attempts += 1
-            sample = nx.gnm_random_graph(
-                args.vertices, args.edges, seed=rng.randrange(2**31)
-            )
-            if not nx.is_connected(sample):
+            picks = rng.sample(range(n * (n - 1) // 2), m)
+            try:
+                graph = Graph(n, tuple(map(_vertex_pair, picks)))
+            except DisconnectedGraphError:
                 continue
-            graph = Graph(
-                args.vertices, tuple(tuple(e) for e in sample.edges())
-            )
             out.append(
-                (name, f"{args.vertices},{args.edges}#{produced}", graph, "")
+                (name, f"{n},{m}#{produced}", graph, "")
             )
             produced += 1
         if produced < args.count:

@@ -6,7 +6,7 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class EdgeListError(ValueError):
@@ -239,7 +239,9 @@ def orient(graph: Graph, code: int) -> Digraph:
     return Digraph(graph, arcs)
 
 
-def collect_acyclic_orientation_bits(graph: Graph) -> array:
+def collect_acyclic_orientation_bits(
+    graph: Graph, *, check: Callable[[], None] | None = None
+) -> array:
     """Codes of all acyclic orientations, in ascending numeric order.
 
     A depth-first scan assigns edge ``m-1`` first, trying the unflipped
@@ -247,6 +249,8 @@ def collect_acyclic_orientation_bits(graph: Graph) -> array:
     increasing.  One reachability bitmask per vertex (reflexive) rejects
     a partial orientation the moment an arc would close a directed cycle;
     the masks are patched back from an undo log on backtracking.
+    ``check``, if given, is called after every 256th code and may raise
+    to abandon the listing, as a search's deadline does.
     """
     out = array("Q")
     m = graph.m
@@ -264,6 +268,8 @@ def collect_acyclic_orientation_bits(graph: Graph) -> array:
     while depth >= 0:
         if depth == m:
             out.append(bits)
+            if check is not None and len(out) % 256 == 0:
+                check()
             depth -= 1
             continue
         if applied[depth]:

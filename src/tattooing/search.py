@@ -12,16 +12,21 @@ the minimum cost, and the best run found there is the answer.  BRUSH
 needs no search: a token run always meets the bound, and every token
 weighs one.
 
-Runs are explored through a single canonical firing order, always the
-smallest ready vertex.  This loses nothing: a vertex fires exactly
-once, and what it can dispatch depends only on its arrivals, not on
-when unrelated vertices fired.  Under the SMALLEST policy the search
-works purely with firing-time augmentation; an initial allocation at a
-vertex behaves exactly like augmenting the same count at its first
-firing, and the reported witness converts the first firing's
-augmentation back into an initial allocation.  Under FRESH the global
-numbering makes the two differ, so initial allocation counts are
-enumerated explicitly.
+A vertex fires once, as soon as every in-arc is tattooed, so each run
+fires the vertices of its orientation in a topological order.  The
+search explores one order per orientation: the topological order that
+always removes the smallest ready vertex (Kahn), restricted to the
+vertices with out-arcs.  The depth-first search takes the vertex at
+depth ``k`` from that list and carries only colour state.  This loses
+nothing: a vertex fires exactly once, and what it can dispatch depends
+only on its arrivals, not on when unrelated vertices fired.
+
+Under the SMALLEST policy the search works purely with firing-time
+augmentation; an initial allocation at a vertex behaves exactly like
+augmenting the same count at its first firing, and the reported
+witness converts the first firing's augmentation back into an initial
+allocation.  Under FRESH the global numbering makes the two differ, so
+initial allocation counts are enumerated explicitly.
 
 Orientations related by a digraph isomorphism admit exactly the same
 (cost, label sum) pairs, so each isomorphism class is searched once,
@@ -259,38 +264,38 @@ def _grant_mask(held: int, policy: Policy, fresh: int, count: int) -> int:
 
 
 class _Orientation:
-    """Decoded orientation with shape data for the symmetry prunings."""
+    """One orientation's firing order and bounds, with shape data for
+    the symmetry prunings."""
 
     __slots__ = (
         "code",
-        "arcs",
-        "out_arcs",
-        "in_arcs",
-        "d_in",
+        "digraph",
         "live",
+        "firing",
+        "need_out",
+        "floor",
         "sig",
         "desc",
         "classes",
-        "need_out",
-        "prefix_out",
     )
 
-    def __init__(self, graph: Graph, code: int):
+    def __init__(
+        self, graph: Graph, code: int, mode: Mode, prefix: tuple[int, ...]
+    ):
         self.code = code
-        n = graph.n
-        arcs = []
-        out_arcs: list[list[int]] = [[] for _ in range(n)]
-        in_arcs: list[list[int]] = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(graph.edges):
-            t, h = (v, u) if (code >> i) & 1 else (u, v)
-            arcs.append((t, h))
-            out_arcs[t].append(i)
-            in_arcs[h].append(i)
-        self.arcs = arcs
-        self.out_arcs = out_arcs
-        self.in_arcs = in_arcs
-        self.d_in = [len(a) for a in in_arcs]
-        self.live = [bool(a) for a in out_arcs]
+        d = self.digraph = orient(graph, code)
+        self.live = [bool(d.out_arcs(v)) for v in range(graph.n)]
+        self.firing = [v for v in d.topological_order() if self.live[v]]
+        self.need_out = [
+            required_primaries(d.out_degree(v), mode) for v in range(graph.n)
+        ]
+        # floor[k]: least label sum the firings from depth k on can add
+        self.floor = list(
+            accumulate(
+                (prefix[d.out_degree(v)] for v in reversed(self.firing)),
+                initial=0,
+            )
+        )[::-1]
         self.sig: dict[int, int] | None = None
         self.desc: dict[int, frozenset[int]] | None = None
         self.classes: dict[int, dict[int, int]] = {}
@@ -299,45 +304,31 @@ class _Orientation:
         """Interned shape signature and firing closure per vertex."""
         if self.sig is not None:
             return
-        n = len(self.out_arcs)
+        d = self.digraph
         intern: dict[tuple, int] = {}
         sig: dict[int, int] = {}
         desc: dict[int, frozenset[int]] = {}
-        # a vertex reaches strictly fewer vertices than its ancestors,
-        # so ascending reach size processes children before parents
-        order = sorted(range(n), key=lambda v: len(self._reachable(v)))
-        for v in order:
+        # reversed topological order visits children before parents
+        for v in reversed(d.topological_order()):
             if not self.live[v]:
                 sig[v] = -1
                 desc[v] = frozenset()
                 continue
             live_children = []
             sinks = 0
-            d: set[int] = {v}
-            for i in self.out_arcs[v]:
-                h = self.arcs[i][1]
+            closure: set[int] = {v}
+            for i in d.out_arcs(v):
+                h = d.head(i)
                 if self.live[h]:
                     live_children.append(sig[h])
-                    d |= desc[h]
+                    closure |= desc[h]
                 else:
                     sinks += 1
-            key = (self.d_in[v], sinks, tuple(sorted(live_children)))
+            key = (d.in_degree(v), sinks, tuple(sorted(live_children)))
             sig[v] = intern.setdefault(key, len(intern))
-            desc[v] = frozenset(d)
+            desc[v] = frozenset(closure)
         self.sig = sig
         self.desc = desc
-
-    def _reachable(self, v: int) -> frozenset[int]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            for i in self.out_arcs[w]:
-                h = self.arcs[i][1]
-                if h not in seen:
-                    seen.add(h)
-                    stack.append(h)
-        return frozenset(seen)
 
     def exchange_classes(self, v: int, policy: Policy) -> dict[int, int]:
         """Map each live out-arc of v to an interchangeability class.
@@ -350,9 +341,8 @@ class _Orientation:
         cached = self.classes.get(v)
         if cached is not None:
             return cached
-        live_arcs = [
-            i for i in self.out_arcs[v] if self.live[self.arcs[i][1]]
-        ]
+        d = self.digraph
+        live_arcs = [i for i in d.out_arcs(v) if self.live[d.head(i)]]
         classes: dict[int, int] = {}
         if policy is Policy.FRESH:
             for j, i in enumerate(live_arcs):
@@ -362,13 +352,12 @@ class _Orientation:
         self._shape_data()
         by_sig: dict[int, list[int]] = {}
         for i in live_arcs:
-            by_sig.setdefault(self.sig[self.arcs[i][1]], []).append(i)
+            by_sig.setdefault(self.sig[d.head(i)], []).append(i)
         nxt = 0
-        for sig_value, arcs_here in by_sig.items():
+        for arcs_here in by_sig.values():
             group = []
             for i in arcs_here:
-                h = self.arcs[i][1]
-                if self._closed_under(v, h):
+                if self._closed_under(v, d.head(i)):
                     group.append(i)
                 else:
                     classes[i] = -1 - i
@@ -376,11 +365,11 @@ class _Orientation:
             ok = []
             taken: set[int] = set()
             for i in group:
-                d = self.desc[self.arcs[i][1]]
-                if d & taken:
+                closure = self.desc[d.head(i)]
+                if closure & taken:
                     classes[i] = -1 - i
                 else:
-                    taken |= d
+                    taken |= closure
                     ok.append(i)
             if len(ok) >= 2:
                 for i in ok:
@@ -396,9 +385,10 @@ class _Orientation:
         """True if every in-arc into h's firing closure starts at v or
         inside the closure itself."""
         closure = self.desc[h]
+        d = self.digraph
         for w in closure:
-            for i in self.in_arcs[w]:
-                t = self.arcs[i][0]
+            for i in d.in_arcs(w):
+                t = d.tail(i)
                 if t != v and t not in closure:
                     return False
         return True
@@ -431,9 +421,12 @@ class _Searcher:
 
     def _tick(self) -> None:
         self.ticks += 1
-        if self.deadline is not None and self.ticks % 256 == 1:
-            if time.monotonic() > self.deadline:
-                raise LimitError("time budget exceeded")
+        if self.ticks % 256 == 1:
+            self._check_time()
+
+    def _check_time(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise LimitError("time budget exceeded")
 
     # ---- vectorised cost bound ----
 
@@ -490,7 +483,9 @@ class _Searcher:
     # ---- the deepening loop ----
 
     def run(self, workers: int = 1) -> IndexReport:
-        bits = collect_acyclic_orientation_bits(self.graph)
+        bits = collect_acyclic_orientation_bits(
+            self.graph, check=self._check_time
+        )
         self._tick()
         codes = np.frombuffer(bits, dtype=np.uint64).astype(np.int64)
         return self._solve(codes, workers)
@@ -512,54 +507,68 @@ class _Searcher:
             out = self._finish(int(lbs[at]), self.graph.m, witness)
             return self._report(out, len(codes))
         c = int(lbs.min())
-        while True:
-            reps = []
-            for idx in np.nonzero(lbs <= c)[0]:
-                self._tick()
-                code = int(codes[idx])
-                if self._rep_for(code) == code:
-                    reps.append(code)
-            best = self._search_level(c, reps, workers)
-            if best["S"] is not None:
-                break
-            c += 1
+        pool, size = None, 1
+        try:
+            while True:
+                reps = []
+                for idx in np.nonzero(lbs <= c)[0]:
+                    self._tick()
+                    code = int(codes[idx])
+                    if self._rep_for(code) == code:
+                        reps.append(code)
+                # levels only grow: a pool starts at the first level
+                # with two representatives and is replaced only by a
+                # level that can keep more workers busy, so no pool
+                # has more workers than its level has representatives
+                want = min(workers, len(reps))
+                if want > size:
+                    if pool is not None:
+                        pool.terminate()
+                    pool, size = self._start_pool(want), want
+                best = self._search_level(c, reps, pool, size)
+                if best["S"] is not None:
+                    break
+                c += 1
+        finally:
+            if pool is not None:
+                pool.terminate()
         witness = self._events_to_witness(
             best["code"], best["events"], best["plan"]
         )
         out = self._finish(c, best["S"], witness)
         return self._report(out, len(codes))
 
+    def _start_pool(self, size: int):
+        """A pool of ``size`` workers, each of which builds one searcher
+        and keeps it for every level the pool serves."""
+        remaining = None
+        if self.deadline is not None:
+            remaining = max(0.1, self.deadline - time.monotonic())
+        limits = SearchLimits(
+            max_edges=self.limits.max_edges, time_budget=remaining
+        )
+        return _mp_context().Pool(
+            size,
+            initializer=_init_worker,
+            initargs=(self.graph, self.mode, self.policy, limits),
+        )
+
     def _search_level(
-        self, budget: int, reps: list[int], workers: int
+        self, budget: int, reps: list[int], pool, size: int
     ) -> dict:
         """Least label sum at cost at most ``budget`` over the
         representatives, as the ``best`` record of :meth:`_probe`.
 
-        The parallel path splits the representatives round robin and
-        merges the per-worker optima by (label sum, orientation code).
-        An admissible bound never prunes a completion at the final
-        minimum, so the merged witness matches the serial one exactly.
+        With a pool of ``size`` workers, the representatives are split
+        round robin and the per-worker optima merged by (label sum,
+        orientation code).  An admissible bound never prunes a
+        completion at the final minimum, so the merged witness matches
+        the serial one exactly.
         """
-        if workers <= 1 or len(reps) <= 1:
+        if pool is None:
             return self._exhaust(budget, reps)
-        remaining = None
-        if self.deadline is not None:
-            remaining = max(0.1, self.deadline - time.monotonic())
-        chunks = [
-            (
-                self.graph,
-                self.mode.value,
-                self.policy.value,
-                self.limits.max_edges,
-                remaining,
-                budget,
-                reps[w::workers],
-            )
-            for w in range(workers)
-            if reps[w::workers]
-        ]
-        with _mp_context().Pool(len(chunks)) as pool:
-            results = pool.map(_exhaust_chunk, chunks)
+        chunks = [(budget, reps[w::size]) for w in range(size)]
+        results = pool.map(_exhaust_chunk, chunks)
         # with no completion anywhere, any worker's empty record will do
         return min(
             (b for b in results if b["S"] is not None),
@@ -604,15 +613,8 @@ class _Searcher:
     def _probe(self, code: int, budget: int, best: dict) -> None:
         """Minimise the label sum on one orientation at cost at most
         ``budget``, updating ``best`` on strict improvement."""
-        o = _Orientation(self.graph, code)
+        o = _Orientation(self.graph, code, self.mode, self.prefix)
         n = self.graph.n
-        need_out = [
-            required_primaries(len(o.out_arcs[v]), self.mode)
-            for v in range(n)
-        ]
-        prefix_out = [self.prefix[len(o.out_arcs[v])] for v in range(n)]
-        o.need_out = need_out
-        o.prefix_out = prefix_out
         if self.policy is Policy.SMALLEST:
             starts = [((), [0] * n, 1, 0)]
         else:
@@ -620,26 +622,17 @@ class _Searcher:
         for plan, present0, fresh0, cost0 in starts:
             self._plan = plan
             avail = [
-                bin(present0[v]).count("1") + o.d_in[v] for v in range(n)
-            ]
-            lb_rem = sum(
-                max(0, need_out[v] - avail[v])
+                bin(present0[v]).count("1") + o.digraph.in_degree(v)
                 for v in range(n)
-                if o.out_arcs[v]
-            )
-            floor_rest = sum(
-                prefix_out[v] for v in range(n) if o.out_arcs[v]
-            )
+            ]
+            lb_rem = sum(max(0, o.need_out[v] - avail[v]) for v in o.firing)
             self._dfs(
                 o,
+                0,
                 list(present0),
                 [frozenset()] * n,
-                list(o.d_in),
                 avail,
-                [False] * n,
-                self.graph.m,
                 lb_rem,
-                floor_rest,
                 cost0,
                 0,
                 fresh0,
@@ -651,10 +644,7 @@ class _Searcher:
     def _fresh_starts(self, o: _Orientation, budget: int):
         """Initial allocation count vectors for the FRESH policy."""
         n = self.graph.n
-        caps = [
-            required_primaries(len(o.out_arcs[v]), self.mode)
-            for v in range(n)
-        ]
+        caps = o.need_out
         spots = [v for v in range(n) if caps[v] > 0]
         out = []
 
@@ -707,14 +697,11 @@ class _Searcher:
     def _dfs(
         self,
         o: _Orientation,
+        k: int,
         present: list[int],
         blends: list[frozenset[int]],
-        in_left: list[int],
         avail: list[int],
-        fired: list[bool],
-        remaining: int,
         lb_rem: int,
-        floor_rest: int,
         cost: int,
         ssum: int,
         fresh: int,
@@ -722,39 +709,33 @@ class _Searcher:
         budget: int,
         best: dict,
     ) -> None:
+        """Fire ``o.firing[k]`` every way the budget and the incumbent
+        allow, then the rest of the firing order."""
         self._tick()
         if cost + lb_rem > budget:
             return
-        if best["S"] is not None and ssum + floor_rest >= best["S"]:
+        if best["S"] is not None and ssum + o.floor[k] >= best["S"]:
             return
-        if remaining == 0:
-            # nothing is left to fire, so floor_rest is 0 and the check
+        if k == len(o.firing):
+            # every arc is tattooed, so the floor is 0 and the check
             # above has made this a strict improvement
             best["S"] = ssum
             best["code"] = o.code
             best["events"] = list(events)
             best["plan"] = self._plan
             return
-        v = -1
-        for w in range(self.graph.n):
-            if not fired[w] and o.out_arcs[w] and in_left[w] == 0:
-                v = w
-                break
-        if v < 0:
-            return
-        todo = o.out_arcs[v]
-        live = [i for i in todo if o.live[o.arcs[i][1]]]
-        sinks = [i for i in todo if not o.live[o.arcs[i][1]]]
+        v = o.firing[k]
+        d = o.digraph
+        todo = d.out_arcs(v)
+        live = [i for i in todo if o.live[d.head(i)]]
+        sinks = [i for i in todo if not o.live[d.head(i)]]
         classes = o.exchange_classes(v, self.policy) if live else {}
         old = present[v]
         arrived = blends[v]
-        rest_floor = floor_rest - o.prefix_out[v]
         lb_others = lb_rem - max(0, o.need_out[v] - avail[v])
         cap = o.need_out[v]
-        ctx = (
-            o, v, live, sinks, classes, old, arrived, rest_floor, lb_others
-        )
-        state = (present, blends, in_left, avail, fired)
+        ctx = (o, k, v, live, sinks, classes, old, arrived, lb_others)
+        state = (present, blends, avail)
         for extra in range(0, cap + 1):
             if cost + extra + lb_others > budget:
                 break
@@ -770,8 +751,6 @@ class _Searcher:
                 weights,
                 cheapest,
                 granted,
-                held,
-                remaining,
                 cost + extra,
                 ssum,
                 fresh + (extra if self.policy is Policy.FRESH else 0),
@@ -788,8 +767,6 @@ class _Searcher:
         weights,
         cheapest,
         granted,
-        held,
-        remaining,
         cost,
         ssum,
         fresh,
@@ -797,15 +774,15 @@ class _Searcher:
         budget,
         best,
     ):
-        o, v, live, sinks, classes, old, arrived, rest_floor, lb_others = ctx
-        present, blends, in_left, avail, fired = state
+        o, k, v, live, sinks, classes, old, arrived, lb_others = ctx
+        present, blends, avail = state
         size = len(pool)
         used = [False] * size
         chosen: list[int] = []
         floors: dict[int, int] = {}
         n_live = len(live)
         n_sink = len(sinks)
-        bound_base = ssum + rest_floor
+        bound_base = ssum + o.floor[k + 1]
 
         def place(pos: int, add: int) -> None:
             if best["S"] is not None:
@@ -851,50 +828,36 @@ class _Searcher:
                 return
             new_present = list(present)
             new_blends = list(blends)
-            new_in_left = list(in_left)
             new_avail = list(avail)
-            new_fired = list(fired)
-            new_present[v] = held
-            new_fired[v] = True
             new_lb = lb_others
-            assignment = []
-            arcs = o.arcs
+            arcs = o.digraph.arcs
             need_out = o.need_out
-            for i, pi in zip(live + sinks, all_picks):
+            # colours are read only at heads that fire later
+            for i, pi in zip(live, chosen):
                 c = pool[pi]
-                assignment.append((i, c))
                 h = arcs[i][1]
-                new_in_left[h] -= 1
                 if c & (c - 1) == 0:
-                    if new_present[h] & c:
-                        merged = True
-                    else:
-                        new_present[h] = new_present[h] | c
-                        merged = False
+                    merged = bool(new_present[h] & c)
+                    new_present[h] |= c
                 else:
-                    if c in new_blends[h]:
-                        merged = True
-                    else:
+                    merged = c in new_blends[h]
+                    if not merged:
                         new_blends[h] = new_blends[h] | {c}
-                        merged = False
-                if merged and not new_fired[h] and o.out_arcs[h]:
+                if merged:
                     # a merged arrival shrinks the head's future pool
                     before = max(0, need_out[h] - new_avail[h])
                     new_avail[h] -= 1
                     new_lb += max(0, need_out[h] - new_avail[h]) - before
-                elif merged:
-                    new_avail[h] -= 1
-            assignment.sort()
+            assignment = sorted(
+                (i, pool[pi]) for i, pi in zip(live + sinks, all_picks)
+            )
             self._dfs(
                 o,
+                k + 1,
                 new_present,
                 new_blends,
-                new_in_left,
                 new_avail,
-                new_fired,
-                remaining - n_live - n_sink,
                 new_lb,
-                rest_floor,
                 cost,
                 ssum + add,
                 fresh,
@@ -954,16 +917,21 @@ def _mp_context():
     return multiprocessing.get_context("fork")
 
 
+# the searcher of a pool worker, built once by _init_worker
+_worker: _Searcher | None = None
+
+
+def _init_worker(
+    graph: Graph, mode: Mode, policy: Policy, limits: SearchLimits
+) -> None:
+    global _worker
+    _worker = _Searcher(graph, mode, policy, limits)
+
+
 def _exhaust_chunk(args):
     """Exhaust one chunk of orientation codes in a worker process."""
-    graph, mode_value, policy_value, max_edges, remaining, budget, codes = args
-    searcher = _Searcher(
-        graph,
-        Mode(mode_value),
-        Policy(policy_value),
-        SearchLimits(max_edges=max_edges, time_budget=remaining),
-    )
-    return searcher._exhaust(budget, codes)
+    budget, codes = args
+    return _worker._exhaust(budget, codes)
 
 
 def best_index(

@@ -564,6 +564,20 @@ class TestSweep:
         assert code_a == code_b == 0
         assert out_a == out_b
         assert len(rows_of(out_a)) == 2
+        assert {r["edges"] for r in rows_of(out_a)} == {"6"}
+
+    @pytest.mark.parametrize(
+        "vertices,edges",
+        [("0", "0"), ("-2", "1"), ("1", "0"), ("3", "1"), ("3", "9")],
+    )
+    def test_random_sizes_out_of_range_exit_2(self, capsys, vertices, edges):
+        code, out, err = run(
+            capsys, "sweep", "--family", "random", "--vertices", vertices,
+            "--edges", edges, "--no-timing",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_missing_range_exits_2(self, capsys):
         with pytest.raises(SystemExit) as caught:
@@ -588,9 +602,14 @@ class _InlineContext:
     def __init__(self):
         self.sizes = []
 
-    def Pool(self, size):
+    def Pool(self, size, initializer=None, initargs=()):
         self.sizes.append(size)
+        if initializer is not None:
+            initializer(*initargs)
         return self
+
+    def terminate(self):
+        pass
 
     def __enter__(self):
         return self
@@ -624,6 +643,8 @@ class TestWorkerCap:
         monkeypatch.setattr(
             multiprocessing, "get_context", lambda method: context
         )
+        # the pool initializer runs here, so restore its global after
+        monkeypatch.setattr(search, "_worker", None)
         code, out, err = run(capsys, *argv, "--workers", "64")
         assert code == 0, err
         assert context.sizes == sizes

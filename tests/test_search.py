@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 
@@ -183,19 +184,21 @@ class TestOneSearchPath:
                 assert res.value == report.cost
                 assert res.witness == report.witness
 
-    def test_brush_witness_fires_the_smallest_ready_vertex(self):
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_witness_fires_the_smallest_ready_vertex(self, mode, policy):
+        # one firing order per orientation: its topological order, the
+        # engine's smallest ready vertex first
         for g in connected_graph_corpus(5):
             for code in collect_acyclic_orientation_bits(g):
                 d = orient(g, code)
-                witness = best_index_for_orientation(d, Mode.BRUSH).witness
+                witness = best_index_for_orientation(d, mode, policy).witness
                 state = initial_state(
-                    d,
-                    Mode.BRUSH,
-                    AllocationPlan(witness.initial, witness.policy),
+                    d, mode, AllocationPlan(witness.initial, witness.policy)
                 )
                 for event in witness.events:
                     assert event.vertex == ready_vertices(state)[0]
-                    state = fire(state, event.vertex)
+                    state = fire(state, event.vertex, event.assignment)
                 assert state.complete
 
 
@@ -450,6 +453,29 @@ class TestLimits:
         with pytest.raises(LimitError):
             best_index(family("friendship:3,4"), Mode.BLEND, limits=tight)
 
+    def test_time_budget_covers_orientation_listing(self, monkeypatch):
+        # the clock passes the deadline at its third reading: the first
+        # sets the deadline, the next come after 256 and 512 of the 1022
+        # acyclic orientations of cycle:10
+        readings = iter([0.0, 0.0])
+        monkeypatch.setattr(
+            search,
+            "time",
+            SimpleNamespace(monotonic=lambda: next(readings, 1e9)),
+        )
+        listed = []
+        real = search.collect_acyclic_orientation_bits
+
+        def listing(*args, **kwargs):
+            listed.append(real(*args, **kwargs))
+            return listed[-1]
+
+        monkeypatch.setattr(search, "collect_acyclic_orientation_bits", listing)
+        budget = SearchLimits(max_edges=30, time_budget=1.0)
+        with pytest.raises(LimitError):
+            best_index(family("cycle:10"), Mode.BLEND, limits=budget)
+        assert listed == []
+
     def test_generous_budget_unaffected(self):
         loose = SearchLimits(max_edges=30, time_budget=600.0)
         r = best_index(family("cycle:4"), Mode.BLEND, limits=loose)
@@ -474,6 +500,34 @@ class TestDeterminism:
         parallel = best_index(g, mode, workers=3)
         assert serial == parallel
         assert serial.witness == parallel.witness
+
+    @pytest.mark.parametrize(
+        "spec,mode,workers,sizes",
+        [
+            # 2 representatives at cost 3, with no completion, then 4
+            ("star:5", Mode.FSG, 2, [2]),
+            # one level, with 3 representatives
+            ("cycle:6", Mode.BLEND, 4, [3]),
+            # 2, then 4, then 6 representatives
+            ("star:7", Mode.FSG, 3, [2, 3]),
+        ],
+    )
+    def test_pools_per_search(self, monkeypatch, spec, mode, workers, sizes):
+        g = family(spec)
+        serial = best_index(g, mode)
+        started = []
+        real = search._mp_context()
+
+        class Recording:
+            def Pool(self, size, **kwargs):
+                started.append(size)
+                return real.Pool(size, **kwargs)
+
+        monkeypatch.setattr(search, "_mp_context", Recording)
+        parallel = best_index(g, mode, workers=workers)
+        assert parallel == serial
+        assert parallel.witness == serial.witness
+        assert started == sizes
 
     def test_repeated_runs_identical(self):
         g = family("friendship:3,2")
