@@ -1,9 +1,10 @@
 """Command-line front end: compute invariants, verify anchors, sweep families.
 
-Exit codes: 0 success, 2 input or parse failure (a malformed document
-included), 3 search-limit refusal, 4 witness replay mismatch or a witness
-that breaks the process rules.  All rationals are printed reduced, as
-``p/q`` (or a bare integer when the denominator is one).
+Exit codes: 0 success, 1 a failed verify or sweep or a closed output pipe,
+2 input or parse failure (a malformed document included), 3 search-limit
+refusal, 4 witness replay mismatch or a witness that breaks the process
+rules.  All rationals are printed reduced, as ``p/q`` (or a bare integer
+when the denominator is one).
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ def _scalar(value):
 
 
 def _parse_range(text: str) -> list[int]:
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
     except ValueError as exc:
         raise InputError(f"bad range {text!r}: use N or A..B") from exc
+    if not values:
+        raise InputError(f"empty range {text!r}: A..B needs A <= B")
+    return values
 
 
 def _parse_allocation(text: str, policy: Policy) -> AllocationPlan:
@@ -547,23 +549,9 @@ def cmd_verify(args) -> int:
     for row in rows:
         counts[row.status] += 1
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "rows": [
-                        {
-                            "name": r.name,
-                            "status": r.status,
-                            "detail": r.detail,
-                        }
-                        for r in rows
-                    ],
-                    "counts": counts,
-                },
-                indent=2,
-            )
-        )
+        rows_doc = [vars(r) for r in rows]  # name, status, detail
+        doc = {"suite": args.suite, "rows": rows_doc, "counts": counts}
+        print(json.dumps(doc, indent=2))
     else:
         for row in rows:
             line = f"{row.name}: {row.status}"
@@ -620,6 +608,8 @@ def _sweep_instances(args) -> list[tuple[str, str, Graph | None, str]]:
             raise InputError(
                 "random sweeps need --vertices N and --edges M"
             )
+        if args.count < 1:
+            raise InputError("--count must be at least 1")
         if n < 2 or not n - 1 <= m <= n * (n - 1) // 2:
             raise InputError(
                 "a connected graph on --vertices N >= 2 needs "
@@ -726,7 +716,7 @@ def cmd_sweep(args) -> int:
     else:
         sys.stdout.write(text)
     ok = [r for r in rows if r["status"] == "ok"]
-    return 0 if ok or not rows else 1
+    return 0 if ok else 1
 
 
 # ---- argument surface ----
@@ -840,7 +830,13 @@ def main(argv=None) -> int:
         if args.n is None:
             parser.error("sweep needs --n RANGE for this family")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # short output meets a closed pipe only here
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's last flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

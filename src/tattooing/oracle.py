@@ -405,6 +405,13 @@ def connected_graph_corpus(max_edges: int) -> tuple[Graph, ...]:
     """Every connected graph with 1..max_edges edges, one per isomorphism
     class, canonically labelled, ordered by (edges, vertices, edge list).
 
+    Each edge layer grows from the one before, starting at K2: every
+    missing edge, and every pendant edge to a new vertex, is added, then
+    canonicalised and deduplicated (canonical augmentation, McKay 1998).
+    No class is missed: deleting a cycle edge, or a leaf of a tree with
+    its edge, leaves a connected graph with one edge fewer.  The order
+    comes from the final sort alone, not from the growth.
+
     The canonical form is the smallest edge list over all relabellings
     that sort vertices by descending degree; restricting to
     degree-respecting relabellings is sound because isomorphisms
@@ -414,33 +421,21 @@ def connected_graph_corpus(max_edges: int) -> tuple[Graph, ...]:
         raise ValueError(
             f"corpus covers 1..{MAX_ORACLE_EDGES} edges, got {max_edges}"
         )
-    found: dict[tuple, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    for n in range(2, max_edges + 2):
-        pairs = list(combinations(range(n), 2))
-        for m in range(n - 1, max_edges + 1):
-            for subset in combinations(pairs, m):
-                if not _connected(n, subset):
-                    continue
-                code = _canonical_edges(n, subset)
-                found.setdefault((n, code), (n, code))
-    ordered = sorted(found.values(), key=lambda nc: (len(nc[1]), nc[0], nc[1]))
+    layer = {(2, ((0, 1),))}
+    found = set(layer)
+    for _ in range(max_edges - 1):
+        grown = set()
+        for n, edges in layer:
+            extensions = [
+                pair for pair in combinations(range(n), 2) if pair not in edges
+            ] + [(u, n) for u in range(n)]
+            for u, v in extensions:
+                size = max(n, v + 1)
+                grown.add((size, _canonical_edges(size, edges + ((u, v),))))
+        found |= grown
+        layer = grown
+    ordered = sorted(found, key=lambda nc: (len(nc[1]), nc[0], nc[1]))
     return tuple(Graph(n, code) for n, code in ordered)
-
-
-def _connected(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
 
 
 def _canonical_edges(

@@ -7,6 +7,9 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -493,13 +496,22 @@ class TestSweep:
         rows = rows_of(out)
         assert [r["tau"] for r in rows] == ["2"] * 6
 
-    def test_empty_range_gives_header_only(self, capsys):
-        code, out, _ = run(
-            capsys, "sweep", "--family", "cycle", "--n", "5..4", "--no-timing"
-        )
-        assert code == 0
-        assert rows_of(out) == []
-        assert out.startswith("family,params,")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "cycle", "--n", "5..3"),
+            ("--family", "joost", "--n", "3", "--k", "4..2"),
+            ("--family", "random", "--vertices", "4", "--edges", "4",
+             "--count", "-1"),
+            ("--family", "random", "--vertices", "4", "--edges", "4",
+             "--count", "0"),
+        ],
+    )
+    def test_no_instance_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "sweep", *argv, "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_csv_file_output(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
@@ -723,3 +735,25 @@ class TestEdgeListFuzz:
             "--max-edges", "6", "--no-timing",
         )
         assert code in (0, 2, 3)
+
+
+class TestClosedPipe:
+    def test_closed_stdout_exits_1_without_traceback(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tattooing.cli", "compute", "--family",
+             "cycle:3", "--quantity", "tau"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # the child is still importing when its reader goes away
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err

@@ -2,17 +2,52 @@
 
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from tattooing import oracle
 from tattooing.engine import Mode, Policy
-from tattooing.graphs import Graph, build_family, parse_family_spec
+from tattooing.graphs import (
+    DisconnectedGraphError,
+    Graph,
+    build_family,
+    parse_family_spec,
+)
 from tattooing.oracle import connected_graph_corpus, oracle_invariants
+
+# A002905: connected graphs with m edges, m = 1..6
+CONNECTED_BY_EDGES = {1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30}
+
+# sha256 of repr([(g.n, g.edges) for g in connected_graph_corpus(6)]);
+# the oracle-xcheck benchmark indexes its reference pairs by position
+CORPUS_6_SHA256 = (
+    "7dcd0e993214769e934b658d3c7b7224426b76904b4010b6616219b781fa64cc"
+)
 
 
 def family(text: str) -> Graph:
     return build_family(parse_family_spec(text))
+
+
+def _all_subsets_corpus(max_edges: int) -> tuple[Graph, ...]:
+    """Reference generator: canonicalise every connected edge subset of
+    every K_n, n <= max_edges + 1."""
+    found = set()
+    for n in range(2, max_edges + 2):
+        pairs = list(combinations(range(n), 2))
+        for m in range(n - 1, max_edges + 1):
+            for subset in combinations(pairs, m):
+                try:
+                    Graph(n, subset)
+                except DisconnectedGraphError:
+                    continue
+                found.add((n, oracle._canonical_edges(n, subset)))
+    ordered = sorted(found, key=lambda nc: (len(nc[1]), nc[0], nc[1]))
+    return tuple(Graph(n, code) for n, code in ordered)
 
 
 class TestCorpus:
@@ -23,6 +58,32 @@ class TestCorpus:
         for g in corpus:
             histogram[g.m] = histogram.get(g.m, 0) + 1
         assert histogram == {1: 1, 2: 1, 3: 3, 4: 5, 5: 12}
+
+    @pytest.mark.parametrize("max_edges", range(1, 6))
+    def test_equals_all_subsets_reference(self, max_edges):
+        assert connected_graph_corpus(max_edges) == _all_subsets_corpus(
+            max_edges
+        )
+
+    def test_six_edge_corpus_pinned(self):
+        corpus = connected_graph_corpus(6)
+        text = repr([(g.n, g.edges) for g in corpus])
+        assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_6_SHA256
+
+    def test_canonicalisations_bounded(self, monkeypatch):
+        # growing layer by layer takes 219 calls; every edge subset of
+        # every K_n, n <= 7, took 22,358
+        calls = 0
+        canonical = oracle._canonical_edges
+
+        def counted(n, edges):
+            nonlocal calls
+            calls += 1
+            return canonical(n, edges)
+
+        monkeypatch.setattr(oracle, "_canonical_edges", counted)
+        assert len(connected_graph_corpus(6)) == 52
+        assert calls <= 300
 
     def test_small_classes_listed(self):
         corpus = connected_graph_corpus(3)
@@ -51,7 +112,7 @@ class TestCorpus:
 
     def test_pairwise_non_isomorphic(self):
         nx = pytest.importorskip("networkx")
-        corpus = [nx.Graph(g.edges) for g in connected_graph_corpus(5)]
+        corpus = [nx.Graph(g.edges) for g in connected_graph_corpus(6)]
         for i in range(len(corpus)):
             for j in range(i + 1, len(corpus)):
                 assert not nx.is_isomorphic(corpus[i], corpus[j])
@@ -60,14 +121,20 @@ class TestCorpus:
         nx = pytest.importorskip("networkx")
         from networkx.generators.atlas import graph_atlas_g
 
+        # a connected graph with at most 6 edges has at most 7 vertices,
+        # and the atlas lists every graph on up to 7 vertices
         atlas = [
             g
             for g in graph_atlas_g()
-            if 1 <= g.number_of_edges() <= 5
+            if 1 <= g.number_of_edges() <= 6
             and g.number_of_nodes() >= 1
             and nx.is_connected(g)
         ]
-        assert len(atlas) == len(connected_graph_corpus(5))
+        corpus = connected_graph_corpus(6)
+        assert Counter(g.number_of_edges() for g in atlas) == (
+            CONNECTED_BY_EDGES
+        )
+        assert Counter(g.m for g in corpus) == CONNECTED_BY_EDGES
 
 
 ORACLE_TABLE = [
