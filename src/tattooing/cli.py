@@ -10,9 +10,9 @@ when the denominator is one).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import multiprocessing
@@ -117,7 +117,10 @@ def _load_graph(args) -> tuple[Graph, str | None]:
 
 
 def _limits(args) -> SearchLimits:
-    base = SearchLimits()
+    try:
+        base = SearchLimits()
+    except ValueError as exc:  # a malformed TATTOO_* variable
+        raise InputError(str(exc)) from exc
     if getattr(args, "max_edges", None) is not None:
         base = dataclasses.replace(base, max_edges=args.max_edges)
     return base
@@ -683,12 +686,6 @@ def cmd_sweep(args) -> int:
         for family, params, graph, error in instances
     ]
     workers = _workers(args)
-    if workers > 1 and len(payloads) > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            rows = pool.map(_sweep_row, payloads)
-    else:
-        rows = [_sweep_row(p) for p in payloads]
-
     columns = [
         "family",
         "params",
@@ -704,17 +701,21 @@ def cmd_sweep(args) -> int:
         columns.append("runtime_ms")
     columns.append("status")
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
-    text = buffer.getvalue()
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    # open the CSV first, so that a path it cannot write costs no search
+    try:
+        handle = open(args.csv, "w", encoding="utf-8") if args.csv else None
+    except OSError as exc:
+        raise InputError(f"cannot write {args.csv}: {exc}") from exc
+    with handle or contextlib.nullcontext(sys.stdout) as out:
+        if workers > 1 and len(payloads) > 1:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                rows = pool.map(_sweep_row, payloads)
+        else:
+            rows = [_sweep_row(p) for p in payloads]
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row[c] for c in columns])
     ok = [r for r in rows if r["status"] == "ok"]
     return 0 if ok else 1
 

@@ -99,11 +99,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def edge_index(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self.edges.index((u, v))
-
 
 def parse_edge_list(text: str) -> Graph:
     """Build a graph from lines of ``u v`` pairs.

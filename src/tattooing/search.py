@@ -3,14 +3,14 @@
 The search finds the lexicographic (cost, label sum) optimum in one
 deepening loop.  Every orientation gets an admissible lower bound
 ``sum_v max(0, need(outdeg v) - indeg v)`` on its cost (number of
-primaries, or tokens), computed in one vectorised pass.  A target cost
-``c`` then rises from the least bound; at each ``c`` the orientations
-whose bound does not exceed it are searched exhaustively, depth first
-with admissible bounds in both coordinates, for the least label sum of
-a run costing at most ``c``.  The first ``c`` with any completion is
-the minimum cost, and the best run found there is the answer.  BRUSH
-needs no search: a token run always meets the bound, and every token
-weighs one.
+primaries, or tokens), updated edge by edge from one orientation code
+to the next.  A target cost ``c`` then rises from the least bound; at
+each ``c`` the orientations whose bound does not exceed it are searched
+exhaustively, depth first with admissible bounds in both coordinates,
+for the least label sum of a run costing at most ``c``.  The first
+``c`` with any completion is the minimum cost, and the best run found
+there is the answer.  BRUSH needs no search: a token run always meets
+the bound, and every token weighs one.
 
 A vertex fires once, as soon as every in-arc is tattooed, so each run
 fires the vertices of its orientation in a topological order.  The
@@ -54,13 +54,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, permutations
 
 import networkx as nx
-import numpy as np
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from tattooing.engine import (
@@ -140,12 +140,19 @@ class LimitError(RuntimeError):
 
 
 def _env_max_edges() -> int:
-    return int(os.environ.get("TATTOO_MAX_EDGES", "22"))
+    raw = os.environ.get("TATTOO_MAX_EDGES", "22")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"TATTOO_MAX_EDGES={raw!r} is not an integer") from None
 
 
 def _env_time_budget() -> float | None:
     raw = os.environ.get("TATTOO_TIME_BUDGET")
-    return float(raw) if raw else None
+    try:
+        return float(raw) if raw else None
+    except ValueError:
+        raise ValueError(f"TATTOO_TIME_BUDGET={raw!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -428,27 +435,30 @@ class _Searcher:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise LimitError("time budget exceeded")
 
-    # ---- vectorised cost bound ----
+    # ---- cost bound, updated edge by edge ----
+    #
+    # f[v][out] = max(0, need(out) - indeg v) is v's share of the bound.
+    # Code 0 orients every edge low to high; setting bit i moves edge i's
+    # out-arc from its low end to its high end, and clearing it moves the
+    # arc back.  Ascending codes mostly differ in their low bits.
 
-    def _lower_bounds(self, codes: np.ndarray) -> np.ndarray:
-        g = self.graph
-        need_table = np.array(
-            [required_primaries(t, self.mode) for t in range(g.n + 1)],
-            dtype=np.int32,
-        )
-        lbs = np.zeros(len(codes), dtype=np.int64)
-        for v in range(g.n):
-            d_out = np.zeros(len(codes), dtype=np.int32)
-            deg = 0
-            for i, (a, b) in enumerate(g.edges):
-                if a == v:
-                    d_out += ((codes >> i) & 1) ^ 1
-                    deg += 1
-                elif b == v:
-                    d_out += (codes >> i) & 1
-                    deg += 1
-            deficit = need_table[d_out] - (deg - d_out)
-            lbs += np.maximum(deficit, 0)
+    def _lower_bounds(self, codes: Sequence[int]) -> list[int]:
+        """Each code's bound, from the one before it in ``codes``."""
+        adj = self.graph.adjacency()
+        f = [[max(0, required_primaries(o, self.mode) - len(a) + o)
+              for o in range(len(a) + 1)] for a in adj]
+        moves = {1 << i: (e, e[::-1]) for i, e in enumerate(self.graph.edges)}
+        out = [sum(w > v for w in a) for v, a in enumerate(adj)]  # code 0
+        lb, prev, lbs = sum(fv[o] for fv, o in zip(f, out)), 0, []
+        for code in codes:
+            diff, prev = code ^ prev, code
+            while bit := diff & -diff:
+                diff ^= bit
+                u, v = moves[bit][not code & bit]
+                ou, ov = out[u], out[v]
+                lb += f[u][ou - 1] - f[u][ou] + f[v][ov + 1] - f[v][ov]
+                out[u], out[v] = ou - 1, ov + 1
+            lbs.append(lb)
         return lbs
 
     def _rep_for(self, code: int) -> int:
@@ -487,35 +497,34 @@ class _Searcher:
             self.graph, check=self._check_time
         )
         self._tick()
-        codes = np.frombuffer(bits, dtype=np.uint64).astype(np.int64)
-        return self._solve(codes, workers)
+        return self._solve(bits, workers)
 
     def run_fixed(self, code: int) -> IndexReport:
         """The same optimum restricted to one orientation."""
         # a lone orientation is its own class representative
         self._iso_rep[code] = code
-        return self._solve(np.array([code], dtype=np.int64))
+        return self._solve([code])
 
-    def _solve(self, codes: np.ndarray, workers: int = 1) -> IndexReport:
+    def _solve(self, codes: Sequence[int], workers: int = 1) -> IndexReport:
         """Least cost, then least label sum, over the orientations
         ``codes`` (ascending), replayed once."""
         lbs = self._lower_bounds(codes)
         if self.mode is Mode.BRUSH:
             # a token run always meets the bound, and tokens weigh one
-            at = int(np.argmin(lbs))
-            witness = self._brush_witness(int(codes[at]))
-            out = self._finish(int(lbs[at]), self.graph.m, witness)
+            at = lbs.index(min(lbs))
+            witness = self._brush_witness(codes[at])
+            out = self._finish(lbs[at], self.graph.m, witness)
             return self._report(out, len(codes))
-        c = int(lbs.min())
+        c = min(lbs)
         pool, size = None, 1
         try:
             while True:
                 reps = []
-                for idx in np.nonzero(lbs <= c)[0]:
-                    self._tick()
-                    code = int(codes[idx])
-                    if self._rep_for(code) == code:
-                        reps.append(code)
+                for code, lb in zip(codes, lbs):
+                    if lb <= c:
+                        self._tick()
+                        if self._rep_for(code) == code:
+                            reps.append(code)
                 # levels only grow: a pool starts at the first level
                 # with two representatives and is replaced only by a
                 # level that can keep more workers busy, so no pool

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tattooing import search
+from tattooing import cli, search
 from tattooing.cli import main
 
 
@@ -530,6 +530,24 @@ class TestSweep:
         assert out == ""
         assert len(rows_of(target.read_text())) == 3
 
+    def test_unwritable_csv_exits_2_before_any_search(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        searched = []
+        monkeypatch.setattr(
+            cli, "best_index", lambda *args, **kw: searched.append(args)
+        )
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(
+            capsys, "sweep", "--family", "cycle", "--n", "3",
+            "--csv", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert str(target) in err
+        assert "Traceback" not in err
+        assert searched == []
+
     def test_refused_instances_get_status_rows(self, capsys):
         code, out, _ = run(
             capsys,
@@ -737,19 +755,63 @@ class TestEdgeListFuzz:
         assert code in (0, 2, 3)
 
 
+class TestMalformedLimitVariables:
+    @pytest.mark.parametrize(
+        "name,value",
+        [("TATTOO_MAX_EDGES", "abc"), ("TATTOO_TIME_BUDGET", "soon")],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "cycle:3", "--quantity", "tau"),
+            ("verify", "--suite", "paper-anchors"),
+            ("sweep", "--family", "cycle", "--n", "3"),
+        ],
+    )
+    def test_exits_2_naming_the_variable(
+        self, capsys, monkeypatch, name, value, argv
+    ):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"{name}={value!r}" in err
+
+
+def _child_env() -> dict:
+    """The environment with this checkout's ``src`` first on the path."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+class TestNoNumpy:
+    @pytest.mark.parametrize(
+        "modules", ["tattooing.cli", "tattooing.oracle, tattooing.search"]
+    )
+    def test_package_does_not_import_numpy(self, modules):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {modules}; sys.exit('numpy' in sys.modules)"],
+            capture_output=True,
+            env=_child_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+
+
 class TestClosedPipe:
     def test_closed_stdout_exits_1_without_traceback(self):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "tattooing.cli", "compute", "--family",
              "cycle:3", "--quantity", "tau"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(),
         )
         # the child is still importing when its reader goes away
         proc.stdout.close()

@@ -433,6 +433,36 @@ class TestInvariantDispatch:
         )
 
 
+class TestLowerBounds:
+    """The edge-by-edge bound against a direct count per orientation."""
+
+    @staticmethod
+    def direct(graph: Graph, code: int, mode: Mode) -> int:
+        d = orient(graph, code)
+        return sum(
+            max(
+                0,
+                engine.required_primaries(d.out_degree(v), mode)
+                - d.in_degree(v),
+            )
+            for v in range(graph.n)
+        )
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_matches_direct_count_in_any_order(self, mode):
+        graphs = [
+            *connected_graph_corpus(5),
+            *map(family, ("joost:3,3", "friendship:3,3", "wheel:5", "star:6")),
+        ]
+        for graph in graphs:
+            searcher = search._Searcher(graph, mode, Policy.SMALLEST, NO_CAP)
+            codes = collect_acyclic_orientation_bits(graph)
+            want = [self.direct(graph, code, mode) for code in codes]
+            assert searcher._lower_bounds(codes) == want
+            assert searcher._lower_bounds(codes[::-1]) == want[::-1]
+            assert [searcher._lower_bounds([c])[0] for c in codes] == want
+
+
 class TestLimits:
     def test_edge_cap_refusal(self):
         with pytest.raises(LimitError):
