@@ -126,6 +126,19 @@ def _limits(args) -> SearchLimits:
     return base
 
 
+def _worker_count(text: str) -> int:
+    """Parse ``--workers``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}"
+        )
+    return value
+
+
 def _workers(args) -> int:
     """``--workers``, capped at the number of CPUs."""
     return min(args.workers, os.cpu_count() or 1)
@@ -765,7 +778,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="initial allocation v:k[,v:k...] for ratio-set",
     )
     compute.add_argument("--max-edges", type=int, default=None)
-    compute.add_argument("--workers", type=int, default=1)
+    compute.add_argument("--workers", type=_worker_count, default=1)
     compute.add_argument(
         "--no-timing",
         action="store_true",
@@ -814,7 +827,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=Policy.SMALLEST.value,
     )
     sweep.add_argument("--max-edges", type=int, default=None)
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=_worker_count, default=1)
     sweep.add_argument("--csv", default=None, metavar="FILE")
     sweep.add_argument("--no-timing", action="store_true")
     sweep.set_defaults(func=cmd_sweep)

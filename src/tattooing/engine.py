@@ -167,14 +167,6 @@ class FireEvent:
 
 
 @dataclass(frozen=True)
-class DispatchSchedule:
-    events: tuple[FireEvent, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-
-
-@dataclass(frozen=True)
 class Witness:
     """A complete, replayable record of one run."""
 
@@ -205,14 +197,6 @@ class Outcome:
         """``primaries_used``, under the name search and oracle results
         give it."""
         return self.primaries_used
-
-
-@dataclass(frozen=True)
-class Deadlock:
-    """The schedule ran out before every arc was tattooed."""
-
-    state: "ProcessState"
-    ready: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -461,58 +445,28 @@ def _fire_brush(
     )
 
 
-def run_schedule(
-    digraph: Digraph,
-    mode: Mode,
-    plan: AllocationPlan,
-    schedule: DispatchSchedule,
-) -> Outcome | Deadlock:
-    """Run a schedule from the initial allocation to its end.
+def replay(graph: Graph, mode: Mode, witness: Witness) -> Outcome:
+    """Re-run a witness from scratch; raise ReplayError if it stalls.
 
-    Returns an Outcome if every arc is tattooed afterwards, otherwise a
-    Deadlock carrying the stuck state.  Rule violations raise.
+    Rule violations raise from :func:`fire`.  The outcome's witness is
+    the one given, with its orientation code trimmed to the graph's
+    edges and its initial allocation sorted.
     """
+    digraph = orient(graph, witness.orientation)
+    plan = AllocationPlan(witness.initial, witness.policy)
     state = initial_state(digraph, mode, plan)
-    for ev in schedule.events:
+    for ev in witness.events:
         state = fire(state, ev.vertex, ev.assignment or None)
     if not state.complete:
-        return Deadlock(state, ready_vertices(state))
-    witness = Witness(digraph.bits(), plan.policy, plan.initial, schedule.events)
-    return outcome_from_state(state, witness)
-
-
-def outcome_from_state(state: ProcessState, witness: Witness) -> Outcome:
-    if not state.complete:
-        raise ValueError("run is not complete")
-    m = len(state.arc_status)
-    label_sum = state.label_sum
+        raise ReplayError("witness schedule deadlocks")
+    m, label_sum = graph.m, state.label_sum
     return Outcome(
-        mode=state.mode,
+        mode=mode,
         primaries_used=state.cost,
         label_sum=label_sum,
         raw_ratio=Fraction(m, label_sum),
         index=Fraction(m, state.cost * label_sum),
-        witness=witness,
+        witness=Witness(
+            digraph.bits(), plan.policy, plan.initial, tuple(witness.events)
+        ),
     )
-
-
-def replay(graph: Graph, mode: Mode, witness: Witness) -> Outcome:
-    """Re-run a witness from scratch; raise ReplayError if it stalls."""
-    digraph = orient(graph, witness.orientation)
-    plan = AllocationPlan(witness.initial, witness.policy)
-    result = run_schedule(digraph, mode, plan, DispatchSchedule(witness.events))
-    if isinstance(result, Deadlock):
-        raise ReplayError("witness schedule deadlocks")
-    return result
-
-
-def verify_outcome(graph: Graph, outcome: Outcome) -> None:
-    """Replay an outcome's witness and insist every figure matches."""
-    again = replay(graph, outcome.mode, outcome.witness)
-    for field_name in ("primaries_used", "label_sum", "raw_ratio", "index"):
-        claimed = getattr(outcome, field_name)
-        seen = getattr(again, field_name)
-        if claimed != seen:
-            raise ReplayError(
-                f"witness replay gives {field_name}={seen}, outcome claims {claimed}"
-            )

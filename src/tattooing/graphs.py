@@ -1,4 +1,10 @@
-"""Simple connected graphs, their orientations, and named graph families."""
+"""Simple connected graphs, their orientations, and named graph families.
+
+An orientation is an integer code: bit ``i`` set flips edge ``i`` to
+high-to-low.  :func:`collect_acyclic_orientation_bits` lists the codes
+of the acyclic ones in ascending order, by a recursive scan over
+per-vertex reachability masks.
+"""
 
 from __future__ import annotations
 
@@ -239,63 +245,36 @@ def collect_acyclic_orientation_bits(
 ) -> array:
     """Codes of all acyclic orientations, in ascending numeric order.
 
-    A depth-first scan assigns edge ``m-1`` first, trying the unflipped
+    A recursive scan assigns edge ``m-1`` first, trying the unflipped
     direction before the flipped one, so codes come out strictly
-    increasing.  One reachability bitmask per vertex (reflexive) rejects
-    a partial orientation the moment an arc would close a directed cycle;
-    the masks are patched back from an undo log on backtracking.
+    increasing.  ``reach[w]`` is the (reflexive) bitmask of vertices
+    ``w`` reaches; an arc ``t -> h`` is refused when ``h`` already
+    reaches ``t``, and otherwise the child scan gets a copy in which
+    every vertex reaching ``t`` also reaches all that ``h`` reaches.
     ``check``, if given, is called after every 256th code and may raise
     to abandon the listing, as a search's deadline does.
     """
     out = array("Q")
-    m = graph.m
-    if m == 0:
-        out.append(0)
-        return out
-    n = graph.n
     edges = graph.edges
-    reach = [1 << x for x in range(n)]
-    stage = [0] * m
-    logs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    applied = [False] * m
-    bits = 0
-    depth = 0
-    while depth >= 0:
-        if depth == m:
+
+    def scan(e: int, bits: int, reach: list[int]) -> None:
+        if e < 0:
             out.append(bits)
             if check is not None and len(out) % 256 == 0:
                 check()
-            depth -= 1
-            continue
-        if applied[depth]:
-            for w, old in logs[depth]:
-                reach[w] = old
-            logs[depth].clear()
-            applied[depth] = False
-        d = stage[depth]
-        if d == 2:
-            stage[depth] = 0
-            depth -= 1
-            continue
-        stage[depth] = d + 1
-        e = m - 1 - depth
+            return
         u, v = edges[e]
-        if d:
-            u, v = v, u
-            bits |= 1 << e
-        else:
-            bits &= ~(1 << e)
-        if (reach[v] >> u) & 1:
-            continue
-        rv = reach[v]
-        log = logs[depth]
-        for w in range(n):
-            rw = reach[w]
-            if (rw >> u) & 1 and rw | rv != rw:
-                log.append((w, rw))
-                reach[w] = rw | rv
-        applied[depth] = True
-        depth += 1
+        for t, h, flip in ((u, v, 0), (v, u, 1 << e)):
+            rh = reach[h]
+            if not (rh >> t) & 1:
+                grown = (
+                    [rw | rh if (rw >> t) & 1 else rw for rw in reach]
+                    if e
+                    else reach  # a leaf reads no masks
+                )
+                scan(e - 1, bits | flip, grown)
+
+    scan(graph.m - 1, 0, [1 << x for x in range(graph.n)])
     return out
 
 
@@ -315,14 +294,15 @@ class FamilyKind(Enum):
     JOOST = "joost"
 
 
-_ARITY = {
-    FamilyKind.CYCLE: 1,
-    FamilyKind.PATH: 1,
-    FamilyKind.STAR: 1,
-    FamilyKind.WHEEL: 1,
-    FamilyKind.FRIENDSHIP: 2,
-    FamilyKind.JOOST: 2,
-    FamilyKind.GENERAL_FRIENDSHIP: 0,
+# least value of each parameter; the tuple's length is the arity
+_MINIMA = {
+    FamilyKind.CYCLE: (3,),
+    FamilyKind.PATH: (2,),
+    FamilyKind.STAR: (1,),
+    FamilyKind.WHEEL: (3,),
+    FamilyKind.FRIENDSHIP: (3, 1),
+    FamilyKind.JOOST: (3, 1),
+    FamilyKind.GENERAL_FRIENDSHIP: (),
 }
 
 
@@ -341,9 +321,10 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         k = self.kind
-        if len(self.params) != _ARITY[k]:
+        minima = _MINIMA[k]
+        if len(self.params) != len(minima):
             raise ValueError(
-                f"{k.value} takes {_ARITY[k]} parameter(s), got {len(self.params)}"
+                f"{k.value} takes {len(minima)} parameter(s), got {len(self.params)}"
             )
         if k is FamilyKind.GENERAL_FRIENDSHIP:
             if not self.blocks:
@@ -356,15 +337,7 @@ class FamilySpec:
             return
         if self.blocks:
             raise ValueError(f"{k.value} does not take cycle blocks")
-        lo = {
-            FamilyKind.CYCLE: (3,),
-            FamilyKind.PATH: (2,),
-            FamilyKind.STAR: (1,),
-            FamilyKind.WHEEL: (3,),
-            FamilyKind.FRIENDSHIP: (3, 1),
-            FamilyKind.JOOST: (3, 1),
-        }[k]
-        for value, least in zip(self.params, lo):
+        for value, least in zip(self.params, minima):
             if value < least:
                 raise ValueError(
                     f"{k.value} parameter {value} below minimum {least}"

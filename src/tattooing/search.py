@@ -51,6 +51,7 @@ through the process engine before being returned.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
@@ -149,18 +150,36 @@ def _env_max_edges() -> int:
 
 def _env_time_budget() -> float | None:
     raw = os.environ.get("TATTOO_TIME_BUDGET")
+    if not raw:
+        return None
     try:
-        return float(raw) if raw else None
+        seconds = float(raw)
     except ValueError:
         raise ValueError(f"TATTOO_TIME_BUDGET={raw!r} is not a number") from None
+    if not seconds > 0:  # 0, negative or nan
+        raise ValueError(
+            f"TATTOO_TIME_BUDGET={raw!r} is not a positive number of seconds"
+        )
+    return seconds
 
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Hard limits; exceeding them refuses the computation outright."""
+    """Hard limits; exceeding them refuses the computation outright.
+
+    ``time_budget`` is a positive number of seconds (``inf`` allowed),
+    or None for no deadline.
+    """
 
     max_edges: int = field(default_factory=_env_max_edges)
     time_budget: float | None = field(default_factory=_env_time_budget)
+
+    def __post_init__(self) -> None:
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError(
+                f"time budget must be a positive number of seconds, "
+                f"got {self.time_budget!r}"
+            )
 
     def check(self, graph: Graph) -> None:
         if graph.m > self.max_edges:
@@ -195,21 +214,12 @@ class InvariantResult:
     orientations_searched: int
 
 
-_SORT_KEY_CACHE: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-
-
+@functools.cache
 def _sort_key(mask: int) -> tuple[int, int, tuple[int, ...]]:
-    key = _SORT_KEY_CACHE.get(mask)
-    if key is None:
-        members = tuple(
-            i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1
-        )
-        key = (sum(members), len(members), members)
-        _SORT_KEY_CACHE[mask] = key
-    return key
-
-
-_PREFIX_CACHE: dict[tuple[Mode, int], tuple[int, ...]] = {}
+    members = tuple(
+        i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1
+    )
+    return (sum(members), len(members), members)
 
 
 def _distinct_partitions(total: int) -> int:
@@ -221,6 +231,7 @@ def _distinct_partitions(total: int) -> int:
     return ways[total]
 
 
+@functools.cache
 def _cheap_prefix(mode: Mode, size: int) -> tuple[int, ...]:
     """Prefix sums of the cheapest weights t distinct sets can have,
     for t up to ``size``.
@@ -230,19 +241,15 @@ def _cheap_prefix(mode: Mode, size: int) -> tuple[int, ...]:
     has partitions into distinct parts.  The table is exact, which keeps
     the label-sum bound built from it admissible.
     """
-    got = _PREFIX_CACHE.get((mode, size))
-    if got is None:
-        if mode is Mode.FSG:
-            weights = list(range(1, size + 1))
-        else:
-            weights = []
-            w = 0
-            while len(weights) < size:
-                w += 1
-                weights += [w] * _distinct_partitions(w)
-        got = tuple(accumulate(weights[:size], initial=0))
-        _PREFIX_CACHE[(mode, size)] = got
-    return got
+    if mode is Mode.FSG:
+        weights = list(range(1, size + 1))
+    else:
+        weights = []
+        w = 0
+        while len(weights) < size:
+            w += 1
+            weights += [w] * _distinct_partitions(w)
+    return tuple(accumulate(weights[:size], initial=0))
 
 
 def _submasks(mask: int) -> list[int]:
@@ -412,7 +419,7 @@ class _Searcher:
         self.limits = limits
         self.deadline = (
             time.monotonic() + limits.time_budget
-            if limits.time_budget
+            if limits.time_budget is not None
             else None
         )
         self.ticks = 0

@@ -681,6 +681,25 @@ class TestWorkerCap:
         assert out == serial
 
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "cycle:3", "--quantity", "tau"),
+            ("sweep", "--family", "cycle", "--n", "3"),
+        ],
+        ids=["compute", "sweep"],
+    )
+    def test_below_one_exits_2(self, capsys, argv, workers):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", workers])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--workers" in err
+
+
 class TestParallelCompute:
     def test_workers_do_not_change_the_document(self, capsys, monkeypatch):
         # cycle:6 in blend mode has 3 representatives at its least cost
@@ -777,6 +796,23 @@ class TestMalformedLimitVariables:
         assert out == ""
         assert err.startswith("error: ")
         assert f"{name}={value!r}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "friendship:3,4", "--quantity", "tau"),
+            ("verify", "--suite", "paper-anchors"),
+            ("sweep", "--family", "cycle", "--n", "3"),
+        ],
+    )
+    def test_time_budget_must_be_positive(self, capsys, monkeypatch, value, argv):
+        # 0 and nan once meant no deadline, -1 an immediate refusal
+        monkeypatch.setenv("TATTOO_TIME_BUDGET", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"TATTOO_TIME_BUDGET={value!r}" in err
 
 
 def _child_env() -> dict:

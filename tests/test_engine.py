@@ -9,8 +9,6 @@ import pytest
 from tattooing.engine import (
     AllocationPlan,
     ColourSet,
-    Deadlock,
-    DispatchSchedule,
     FireEvent,
     IncompleteAssignmentError,
     InjectivityError,
@@ -20,14 +18,13 @@ from tattooing.engine import (
     Policy,
     ReplayError,
     UnavailableColourSetError,
+    Witness,
     fire,
     initial_state,
     mutate_pool,
     ready_vertices,
     replay,
     required_primaries,
-    run_schedule,
-    verify_outcome,
 )
 from tattooing.graphs import Graph, build_family, orient, parse_family_spec
 
@@ -300,18 +297,20 @@ class TestBrushSemantics:
         assert st.label_sum == 2  # every tattooed arc counts one token
 
 
-class TestRunSchedule:
+class TestReplay:
+    TRIANGLE_EVENTS = (
+        FireEvent(0, ((0, cs(1)), (1, cs(2)))),
+        FireEvent(1, ((2, cs(1)),)),
+    )
+
+    def outcome(self) -> tuple[Graph, Outcome]:
+        g = family("cycle:3")
+        w = Witness(0, Policy.SMALLEST, ((0, 2),), self.TRIANGLE_EVENTS)
+        return g, replay(g, Mode.BLEND, w)
+
     def test_outcome_figures(self):
-        d = orient(family("cycle:3"), 0)
-        plan = smallest_plan(v0=2)
-        sched = DispatchSchedule(
-            (
-                FireEvent(0, ((0, cs(1)), (1, cs(2)))),
-                FireEvent(1, ((2, cs(1)),)),
-            )
-        )
-        out = run_schedule(d, Mode.BLEND, plan, sched)
-        assert isinstance(out, Outcome)
+        _, out = self.outcome()
+        assert out.mode is Mode.BLEND
         assert out.primaries_used == 2
         assert out.label_sum == 4
         assert out.raw_ratio == Fraction(3, 4)
@@ -319,61 +318,49 @@ class TestRunSchedule:
         assert out.witness.orientation == 0
         assert out.witness.initial == ((0, 2),)
 
-    def test_exhausted_schedule_reports_ready(self):
-        d = orient(family("cycle:3"), 0)
-        res = run_schedule(d, Mode.BLEND, smallest_plan(v0=2), DispatchSchedule(()))
-        assert isinstance(res, Deadlock)
-        assert res.ready == (0,)
+    def test_witness_comes_back_normalised(self):
+        # a code bit above the edges, an unsorted allocation and a list
+        # of events: the outcome's witness trims, sorts and freezes them
+        g = family("path:3")
+        w = Witness(
+            0b100,
+            Policy.SMALLEST,
+            ((2, 1), (0, 1)),
+            [FireEvent(0, ((0, cs(1)),)), FireEvent(1, ((1, cs(1)),))],
+        )
+        out = replay(g, Mode.FSG, w)
+        assert out.witness == Witness(
+            0, Policy.SMALLEST, ((0, 1), (2, 1)), tuple(w.events)
+        )
 
-    def test_cyclic_orientation_deadlocks(self):
-        d = orient(family("cycle:3"), 0b010)
-        res = run_schedule(d, Mode.BLEND, smallest_plan(v0=2), DispatchSchedule(()))
-        assert isinstance(res, Deadlock)
-        assert res.ready == ()
+    def test_exhausted_schedule_raises(self):
+        g = family("cycle:3")
+        w = Witness(0, Policy.SMALLEST, ((0, 2),), ())
+        with pytest.raises(ReplayError):
+            replay(g, Mode.BLEND, w)
+
+    def test_cyclic_orientation_stalls(self):
+        # 0->1, 2->0, 1->2: no vertex is ever ready
+        g = family("cycle:3")
+        w = Witness(0b010, Policy.SMALLEST, ((0, 2),), ())
+        with pytest.raises(ReplayError):
+            replay(g, Mode.BLEND, w)
 
     def test_brush_schedule(self):
-        d = orient(family("path:4"), 0)
-        out = run_schedule(
-            d,
-            Mode.BRUSH,
-            smallest_plan(v0=1),
-            DispatchSchedule((FireEvent(0), FireEvent(1), FireEvent(2))),
+        g = family("path:4")
+        w = Witness(
+            0,
+            Policy.SMALLEST,
+            ((0, 1),),
+            (FireEvent(0), FireEvent(1), FireEvent(2)),
         )
+        out = replay(g, Mode.BRUSH, w)
         assert out.primaries_used == 1
         assert out.index == Fraction(1)
 
-
-class TestReplay:
-    def outcome(self) -> tuple[Graph, Outcome]:
-        g = family("cycle:3")
-        d = orient(g, 0)
-        sched = DispatchSchedule(
-            (
-                FireEvent(0, ((0, cs(1)), (1, cs(2)))),
-                FireEvent(1, ((2, cs(1)),)),
-            )
-        )
-        out = run_schedule(d, Mode.BLEND, smallest_plan(v0=2), sched)
-        assert isinstance(out, Outcome)
-        return g, out
-
     def test_replay_reproduces(self):
         g, out = self.outcome()
-        again = replay(g, out.mode, out.witness)
-        assert again.label_sum == out.label_sum
-        assert again.index == out.index
-
-    def test_verify_accepts_honest_outcome(self):
-        g, out = self.outcome()
-        verify_outcome(g, out)
-
-    def test_verify_rejects_tampering(self):
-        import dataclasses
-
-        g, out = self.outcome()
-        forged = dataclasses.replace(out, label_sum=3, raw_ratio=Fraction(1))
-        with pytest.raises(ReplayError):
-            verify_outcome(g, forged)
+        assert replay(g, out.mode, out.witness) == out
 
     def test_replay_rejects_stalling_witness(self):
         g, out = self.outcome()

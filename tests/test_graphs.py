@@ -22,6 +22,7 @@ from tattooing.graphs import (
     parse_edge_list,
     parse_family_spec,
 )
+from tattooing.oracle import connected_graph_corpus
 
 
 def family(text: str) -> Graph:
@@ -255,9 +256,11 @@ class TestAcyclicEnumeration:
             assert orient(g, code).is_acyclic()
 
     def test_matches_exhaustive_filter(self):
-        # independent reference: try all 2^m codes, keep the acyclic ones
-        for text in ["cycle:3", "cycle:4", "path:4", "star:3", "wheel:3"]:
-            g = family(text)
+        # independent reference: try all 2^m codes, keep the acyclic ones;
+        # the edgeless Graph(1, ()) has one orientation, code 0
+        texts = ["cycle:3", "cycle:4", "path:4", "star:3", "wheel:3"]
+        graphs = [Graph(1, ()), *connected_graph_corpus(5)]
+        for g in graphs + [family(t) for t in texts]:
             expect = [
                 code for code in range(1 << g.m) if orient(g, code).is_acyclic()
             ]

@@ -6,6 +6,7 @@ can afford a full two-stage search per example.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,17 +18,14 @@ from hypothesis import strategies as st
 from tattooing.engine import (
     AllocationPlan,
     ColourSet,
-    DispatchSchedule,
     FireEvent,
     Mode,
     Policy,
     fire,
     initial_state,
     mutate_pool,
-    outcome_from_state,
     ready_vertices,
     replay,
-    run_schedule,
 )
 from tattooing.graphs import (
     Digraph,
@@ -124,19 +122,18 @@ class TestScheduleOrderIndependence:
             state = fire(state, vertex, dict(assignments[vertex]))
             order.append(vertex)
 
-        assert all(arc is not None for arc in state.arc_status)
-        shuffled = outcome_from_state(state, witness)
+        assert state.complete
         canonical = replay(graph, Mode.BLEND, witness)
-        assert shuffled.label_sum == canonical.label_sum
-        assert shuffled.primaries_used == canonical.primaries_used
-        assert shuffled.index == canonical.index
+        assert state.label_sum == canonical.label_sum
+        assert state.cost == canonical.primaries_used
 
-        schedule = DispatchSchedule(
-            tuple(FireEvent(v, assignments[v]) for v in order)
+        reordered = dataclasses.replace(
+            witness, events=tuple(FireEvent(v, assignments[v]) for v in order)
         )
-        rerun = run_schedule(digraph, Mode.BLEND, plan, schedule)
+        rerun = replay(graph, Mode.BLEND, reordered)
         assert rerun.label_sum == canonical.label_sum
         assert rerun.primaries_used == canonical.primaries_used
+        assert rerun.index == canonical.index
 
 
 class TestPoolContract:

@@ -244,7 +244,7 @@ class TestOneReplayPerAnswer:
             calls.append(args)
             return replay(*args)
 
-        # the engine's own name too, which engine.verify_outcome calls
+        # count a replay reached through either module's name
         monkeypatch.setattr(search, "replay", counting)
         monkeypatch.setattr(engine, "replay", counting)
         ANSWERS[answer](family("cycle:5"), mode)
@@ -505,6 +505,16 @@ class TestLimits:
         with pytest.raises(LimitError):
             best_index(family("cycle:10"), Mode.BLEND, limits=budget)
         assert listed == []
+
+    @pytest.mark.parametrize("budget", [0, -1, float("nan")])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError, match="positive number of seconds"):
+            SearchLimits(max_edges=30, time_budget=budget)
+
+    def test_infinite_budget_is_no_deadline(self, monkeypatch):
+        monkeypatch.setenv("TATTOO_TIME_BUDGET", "inf")
+        r = best_index(family("cycle:4"), Mode.BLEND)
+        assert r.cost == 2
 
     def test_generous_budget_unaffected(self):
         loose = SearchLimits(max_edges=30, time_budget=600.0)
