@@ -119,10 +119,10 @@ def _load_graph(args) -> tuple[Graph, str | None]:
 def _limits(args) -> SearchLimits:
     try:
         base = SearchLimits()
-    except ValueError as exc:  # a malformed TATTOO_* variable
+        if getattr(args, "max_edges", None) is not None:
+            base = dataclasses.replace(base, max_edges=args.max_edges)
+    except ValueError as exc:  # a malformed TATTOO_* variable or --max-edges
         raise InputError(str(exc)) from exc
-    if getattr(args, "max_edges", None) is not None:
-        base = dataclasses.replace(base, max_edges=args.max_edges)
     return base
 
 

@@ -30,8 +30,14 @@ initial allocation counts are enumerated explicitly.
 
 Orientations related by a digraph isomorphism admit exactly the same
 (cost, label sum) pairs, so each isomorphism class is searched once,
-through its first representative in code order.  Two further sound
-symmetry prunings keep the per-orientation search small:
+through its least code.  The classes are the orbits of Aut(G) on the
+orientations.  Generators of Aut(G) are learned from the class tests
+themselves, as in nauty's automorphism pruning (McKay and Piperno,
+*Practical graph isomorphism II*, 2014): every VF2 match is an
+automorphism, and the orbit it generates is labelled at once.  A code
+no generator has reached is placed exactly by a Weisfeiler-Lehman hash
+and VF2.  Two further sound symmetry prunings keep the per-orientation
+search small:
 
 * Arcs whose head never fires (out-degree zero) are not branched on.
   Their labels have no downstream effect, so after the live arcs are
@@ -55,6 +61,7 @@ import functools
 import multiprocessing
 import os
 import time
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,6 +74,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher
 from tattooing.engine import (
     AllocationPlan,
     ColourSet,
+    EngineError,
     FireEvent,
     Mode,
     Outcome,
@@ -143,9 +151,12 @@ class LimitError(RuntimeError):
 def _env_max_edges() -> int:
     raw = os.environ.get("TATTOO_MAX_EDGES", "22")
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise ValueError(f"TATTOO_MAX_EDGES={raw!r} is not an integer") from None
+    if limit < 1:
+        raise ValueError(f"TATTOO_MAX_EDGES={raw!r} is not a positive integer")
+    return limit
 
 
 def _env_time_budget() -> float | None:
@@ -167,14 +178,18 @@ def _env_time_budget() -> float | None:
 class SearchLimits:
     """Hard limits; exceeding them refuses the computation outright.
 
-    ``time_budget`` is a positive number of seconds (``inf`` allowed),
-    or None for no deadline.
+    ``max_edges`` is a positive integer.  ``time_budget`` is a positive
+    number of seconds (``inf`` allowed), or None for no deadline.
     """
 
     max_edges: int = field(default_factory=_env_max_edges)
     time_budget: float | None = field(default_factory=_env_time_budget)
 
     def __post_init__(self) -> None:
+        if self.max_edges < 1:
+            raise ValueError(
+                f"edge limit must be a positive integer, got {self.max_edges!r}"
+            )
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError(
                 f"time budget must be a positive number of seconds, "
@@ -250,6 +265,17 @@ def _cheap_prefix(mode: Mode, size: int) -> tuple[int, ...]:
             w += 1
             weights += [w] * _distinct_partitions(w)
     return tuple(accumulate(weights[:size], initial=0))
+
+
+def _act(code: int, action: tuple[tuple[tuple[int, ...], ...], int]) -> int:
+    """The image of an orientation code under an edge action: each byte
+    of the code looks up where its bits move, then the flip mask is
+    XORed in."""
+    tables, image = action
+    for table in tables:
+        image ^= table[code & 255]
+        code >>= 8
+    return image
 
 
 def _submasks(mask: int) -> list[int]:
@@ -430,6 +456,7 @@ class _Searcher:
         self._pools: dict = {}
         self._iso_buckets: dict[str, list[tuple[int, nx.DiGraph]]] = {}
         self._iso_rep: dict[int, int] = {}
+        self._generators: list[tuple[tuple[tuple[int, ...], ...], int]] = []
         if graph.m == 0:
             raise ValueError("the process needs at least one edge")
 
@@ -469,13 +496,22 @@ class _Searcher:
         return lbs
 
     def _rep_for(self, code: int) -> int:
-        """First seen code of this orientation's isomorphism class.
+        """Least code of this orientation's isomorphism class.
 
         Relabelling vertices maps legal runs to legal runs of the same
         cost and label sum, in both policies, so only one orientation
-        per digraph isomorphism class needs searching.  Buckets are
-        keyed by a Weisfeiler-Lehman hash; exact membership is settled
-        by VF2.
+        per digraph isomorphism class needs searching.  Two orientations
+        of G are isomorphic exactly when an automorphism of G maps one
+        onto the other, so the classes are the orbits of Aut(G), and an
+        orbit shares the cost bound.  Codes arrive in ascending order,
+        so the first code seen of a class is its least.
+
+        A code not yet labelled is placed exactly: buckets are keyed by
+        a Weisfeiler-Lehman hash, and membership is settled by VF2.
+        The vertex map of each VF2 hit is an automorphism, kept as a
+        generator (:meth:`_learn`).  After every such classification the
+        code's orbit under the generators found so far gets the same
+        representative, so its other members skip WL and VF2.
         """
         got = self._iso_rep.get(code)
         if got is not None:
@@ -487,15 +523,75 @@ class _Searcher:
                 G.add_edge(v, u)
             else:
                 G.add_edge(u, v)
-        key = nx.weisfeiler_lehman_graph_hash(G)
+        with warnings.catch_warnings():
+            # networkx 3.5 changed these hashes; they are only compared
+            # within one search, so the change does not matter here
+            warnings.filterwarnings(
+                "ignore", "The hashes produced for ", UserWarning
+            )
+            key = nx.weisfeiler_lehman_graph_hash(G)
         bucket = self._iso_buckets.setdefault(key, [])
-        for rep, rep_graph in bucket:
-            if DiGraphMatcher(G, rep_graph).is_isomorphic():
-                self._iso_rep[code] = rep
-                return rep
-        bucket.append((code, G))
-        self._iso_rep[code] = code
-        return code
+        rep = code
+        for rep_code, rep_graph in bucket:
+            matcher = DiGraphMatcher(G, rep_graph)
+            if matcher.is_isomorphic():
+                rep = rep_code
+                self._learn(code, rep, matcher.mapping)
+                break
+        else:
+            bucket.append((code, G))
+        # label the code's orbit under the generators found so far
+        labels = self._iso_rep
+        labels[code] = rep
+        queue = [code]
+        for c in queue:
+            for action in self._generators:
+                image = _act(c, action)
+                if image not in labels:
+                    self._tick()
+                    labels[image] = rep
+                    queue.append(image)
+        return rep
+
+    def _learn(self, code: int, rep: int, mapping: dict[int, int]) -> None:
+        """Keep the vertex map ``mapping``, which VF2 found to take
+        orientation ``code`` onto ``rep``, as an edge action.
+
+        The action gives each edge its target edge and whether its
+        direction flips, so an image code is the source's bits moved to
+        their targets and XORed with the flip mask.  The moves are kept
+        as one table per byte of a code.  The action is checked against
+        the edge set and against ``code`` before use.
+        """
+        vertices = list(range(self.graph.n))
+        if sorted(mapping) != vertices or sorted(mapping.values()) != vertices:
+            raise EngineError(f"VF2 mapping {mapping} is not a vertex permutation")
+        edges = self.graph.edges
+        index = {e: i for i, e in enumerate(edges)}
+        targets, flips = [], 0
+        for u, v in edges:
+            a, b = mapping[u], mapping[v]
+            j = index.get((min(a, b), max(a, b)))
+            if j is None:
+                raise EngineError(
+                    f"VF2 mapping sends edge {(u, v)} to non-edge {(a, b)}"
+                )
+            targets.append(j)
+            flips |= (a > b) << j
+        tables = []
+        for k in range(0, len(targets), 8):
+            # table[x]: where x moves, as bits k to k + 7 of a code
+            table = [0]
+            for j in targets[k : k + 8]:
+                table += [t | 1 << j for t in table]
+            tables.append(tuple(table))
+        action = (tuple(tables), flips)
+        if _act(code, action) != rep:
+            raise EngineError(
+                f"VF2 mapping does not take orientation {code} onto {rep}"
+            )
+        if action not in self._generators:
+            self._generators.append(action)
 
     # ---- the deepening loop ----
 

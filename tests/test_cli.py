@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -813,6 +814,53 @@ class TestMalformedLimitVariables:
         assert code == 2
         assert out == ""
         assert f"TATTOO_TIME_BUDGET={value!r}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "cycle:3", "--quantity", "tau"),
+            ("verify", "--suite", "oracle"),
+            ("sweep", "--family", "cycle", "--n", "3"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "variable,flag,named",
+        [
+            ("-5", None, "TATTOO_MAX_EDGES='-5'"),
+            (None, "-1", "got -1"),
+            (None, "0", "got 0"),
+        ],
+    )
+    def test_edge_limit_must_be_positive(
+        self, capsys, monkeypatch, argv, variable, flag, named
+    ):
+        # every search was once refused with exit 3
+        if variable is not None:
+            monkeypatch.setenv("TATTOO_MAX_EDGES", variable)
+        extra = () if flag is None else ("--max-edges", flag)
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert named in err
+
+
+class TestNoWarnings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "friendship:3,3", "--quantity", "btau"),
+            ("sweep", "--family", "friendship", "--n", "2..3", "--mode", "fsg"),
+        ],
+    )
+    def test_search_emits_no_warning(self, capsys, argv):
+        # networkx 3.5+ warns on every Weisfeiler-Lehman hash of a digraph
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert [str(w.message) for w in caught] == []
+        assert err == ""
 
 
 def _child_env() -> dict:

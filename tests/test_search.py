@@ -7,11 +7,14 @@ from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from tattooing import engine, search
 from tattooing.engine import (
     AllocationPlan,
+    EngineError,
     Mode,
     Policy,
     ReplayError,
@@ -463,6 +466,133 @@ class TestLowerBounds:
             assert [searcher._lower_bounds([c])[0] for c in codes] == want
 
 
+class _ReferenceClasses:
+    """Reference class finder: the Weisfeiler-Lehman hash + VF2 test the
+    search once ran on every code, before it labelled orbits."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self._iso_buckets: dict[str, list[tuple[int, nx.DiGraph]]] = {}
+        self._iso_rep: dict[int, int] = {}
+
+    def _rep_for(self, code: int) -> int:
+        got = self._iso_rep.get(code)
+        if got is not None:
+            return got
+        G = nx.DiGraph()
+        G.add_nodes_from(range(self.graph.n))
+        for i, (u, v) in enumerate(self.graph.edges):
+            if (code >> i) & 1:
+                G.add_edge(v, u)
+            else:
+                G.add_edge(u, v)
+        key = nx.weisfeiler_lehman_graph_hash(G)
+        bucket = self._iso_buckets.setdefault(key, [])
+        for rep, rep_graph in bucket:
+            if DiGraphMatcher(G, rep_graph).is_isomorphic():
+                self._iso_rep[code] = rep
+                return rep
+        bucket.append((code, G))
+        self._iso_rep[code] = code
+        return code
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced for:UserWarning")
+class TestLearnedOrbits:
+    """Orbit labels from VF2-learned automorphisms against the reference
+    finder, level by level of the deepening loop."""
+
+    @staticmethod
+    def check(graph: Graph, mode: Mode) -> None:
+        searcher = search._Searcher(graph, mode, Policy.SMALLEST, NO_CAP)
+        reference = _ReferenceClasses(graph)
+        codes = collect_acyclic_orientation_bits(graph)
+        lbs = searcher._lower_bounds(codes)
+        last = best_index(graph, mode, limits=NO_CAP).cost
+        for c in range(min(lbs), last + 1):
+            under = [code for code, lb in zip(codes, lbs) if lb <= c]
+            got = {code: searcher._rep_for(code) for code in under}
+            assert got == {code: reference._rep_for(code) for code in under}
+
+    @pytest.mark.parametrize("mode", [Mode.FSG, Mode.BLEND])
+    def test_corpus_matches_reference(self, mode):
+        for graph in connected_graph_corpus(6):
+            self.check(graph, mode)
+
+    @pytest.mark.parametrize("mode", [Mode.FSG, Mode.BLEND])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "friendship:3,4",
+            "friendship:3,5",
+            "joost:4,5",
+            "wheel:6",
+            "cycle:7",
+            "star:8",
+            "genfriendship:3x2+4x1",
+        ],
+    )
+    def test_family_matches_reference(self, spec, mode):
+        self.check(family(spec), mode)
+
+    @staticmethod
+    def count_hashes(monkeypatch) -> list:
+        """Record every Weisfeiler-Lehman hash the search computes."""
+        calls = []
+        real = search.nx.weisfeiler_lehman_graph_hash
+
+        def counting(G):
+            calls.append(G)
+            return real(G)
+
+        monkeypatch.setattr(search.nx, "weisfeiler_lehman_graph_hash", counting)
+        return calls
+
+    def test_few_hashes(self, monkeypatch):
+        # 5,760 hashes when every code under the target was hashed
+        calls = self.count_hashes(monkeypatch)
+        best_index(family("friendship:3,5"), Mode.FSG, limits=NO_CAP)
+        assert 0 < len(calls) < 100
+
+    def test_every_orbit_label_ticks(self, monkeypatch):
+        # each code is labelled by its own hash or as an image, with a tick
+        hashed = self.count_hashes(monkeypatch)
+        graph = family("friendship:3,4")
+        searcher = search._Searcher(graph, Mode.FSG, Policy.SMALLEST, NO_CAP)
+        codes = collect_acyclic_orientation_bits(graph)
+        for code in codes:
+            searcher._rep_for(code)
+        assert len(searcher._iso_rep) == len(codes)
+        assert searcher.ticks == len(codes) - len(hashed) > 0
+
+    @pytest.mark.parametrize(
+        "mapping,message",
+        [
+            ({0: 0, 1: 1, 2: 2, 3: 3}, "does not take orientation"),
+            ({0: 1, 1: 0, 2: 2, 3: 3}, "non-edge"),
+            ({0: 0, 1: 0, 2: 2, 3: 3}, "not a vertex permutation"),
+        ],
+    )
+    def test_bad_automorphism_raises(self, monkeypatch, mapping, message):
+        class Lying:
+            def __init__(self, G1, G2):
+                self.mapping = mapping
+
+            def is_isomorphic(self):
+                return True
+
+        graph = family("cycle:4")
+        first, second = collect_acyclic_orientation_bits(graph)[:2]
+        searcher = search._Searcher(graph, Mode.FSG, Policy.SMALLEST, NO_CAP)
+        monkeypatch.setattr(
+            search.nx, "weisfeiler_lehman_graph_hash", lambda G: "one bucket"
+        )
+        searcher._rep_for(first)
+        monkeypatch.setattr(search, "DiGraphMatcher", Lying)
+        with pytest.raises(EngineError, match=message):
+            searcher._rep_for(second)
+
+
 class TestLimits:
     def test_edge_cap_refusal(self):
         with pytest.raises(LimitError):
@@ -505,6 +635,17 @@ class TestLimits:
         with pytest.raises(LimitError):
             best_index(family("cycle:10"), Mode.BLEND, limits=budget)
         assert listed == []
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_edge_limit_must_be_positive(self, limit):
+        with pytest.raises(ValueError, match="positive integer"):
+            SearchLimits(max_edges=limit, time_budget=None)
+
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    def test_edge_limit_variable_must_be_positive(self, monkeypatch, raw):
+        monkeypatch.setenv("TATTOO_MAX_EDGES", raw)
+        with pytest.raises(ValueError, match=f"TATTOO_MAX_EDGES={raw!r}"):
+            SearchLimits()
 
     @pytest.mark.parametrize("budget", [0, -1, float("nan")])
     def test_budget_must_be_positive(self, budget):
