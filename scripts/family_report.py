@@ -12,7 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from tattooing import Mode, SearchLimits, best_index, build_family, parse_family_spec
+from tattooing import (
+    LimitError,
+    Mode,
+    SearchLimits,
+    best_index,
+    build_family,
+    parse_family_spec,
+)
 
 
 def parse_range(text: str) -> range:
@@ -30,7 +37,18 @@ def main() -> int:
     parser.add_argument("--k", type=int, help="path count for joost")
     parser.add_argument("--max-edges", type=int, default=None)
     args = parser.parse_args()
+    try:
+        report(args)
+    except ValueError as exc:  # a bad family spec or edge limit
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except LimitError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
+
+def report(args) -> None:
     limits = SearchLimits() if args.max_edges is None else SearchLimits(
         max_edges=args.max_edges, time_budget=SearchLimits().time_budget
     )
@@ -53,7 +71,6 @@ def main() -> int:
             f"{spec:<18}{graph.n:>5}{graph.m:>5}{br.cost:>5}{btau.cost:>6}"
             f"{tau.cost:>5}{tau.label_sum:>6}  {tau.index}"
         )
-    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import sys
 
 from tattooing import (
     AllocationPlan,
-    Digraph,
+    LimitError,
     Mode,
     Policy,
     SearchLimits,
@@ -44,17 +44,19 @@ def main() -> int:
         "--mode", choices=[m.value for m in Mode], default=Mode.BLEND.value
     )
     args = parser.parse_args()
-
-    graph = build_family(parse_family_spec(args.family))
-    digraph = (
-        Digraph(graph, graph.edges)
-        if args.orientation == 0
-        else orient(graph, args.orientation)
-    )
-    plan = AllocationPlan.from_counts(
-        {args.vertex: args.colours}, Policy.SMALLEST
-    )
-    ratios = ratio_set(digraph, Mode(args.mode), plan, SearchLimits())
+    try:
+        graph = build_family(parse_family_spec(args.family))
+        plan = AllocationPlan.from_counts(
+            {args.vertex: args.colours}, Policy.SMALLEST
+        )
+        digraph = orient(graph, args.orientation)
+        ratios = ratio_set(digraph, Mode(args.mode), plan, SearchLimits())
+    except ValueError as exc:  # a bad family spec or allocation
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except LimitError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 3
     print(f"{args.family}, orientation {args.orientation}, "
           f"{args.colours} colours at vertex {args.vertex}:")
     for ratio in sorted(ratios, reverse=True):

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -50,12 +51,12 @@ from tattooing.graphs import (
 from tattooing.oracle import connected_graph_corpus, oracle_invariants
 from tattooing.search import (
     COST_MODES,
+    IndexReport,
     LimitError,
     Quantity,
     SearchLimits,
     best_index,
     best_index_for_orientation,
-    min_cost_for_orientation,
     quantity_mode,
     quantity_value,
     ratio_set,
@@ -70,12 +71,8 @@ class InputError(Exception):
     """Bad user input: malformed graph, spec, flag combination, or file."""
 
 
-def _rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _scalar(value):
-    return value if isinstance(value, int) else _rational(value)
+    return value if isinstance(value, int) else str(value)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -232,9 +229,7 @@ def cmd_compute(args) -> int:
             raise InputError(str(exc)) from exc
         doc["orientation"] = args.orientation
         doc["allocation"] = [[v, k] for v, k in plan.initial]
-        doc["value"] = [
-            _rational(v) for v in sorted(values, reverse=True)
-        ]
+        doc["value"] = [str(v) for v in sorted(values, reverse=True)]
         doc["witness"] = None
         doc["orientations_searched"] = 1
     else:
@@ -251,8 +246,8 @@ def cmd_compute(args) -> int:
         doc["value"] = _scalar(quantity_value(quantity, report))
         doc["cost"] = report.cost
         doc["label_sum"] = report.label_sum
-        doc["raw_ratio"] = _rational(report.raw_ratio)
-        doc["index"] = _rational(report.index)
+        doc["raw_ratio"] = str(report.raw_ratio)
+        doc["index"] = str(report.index)
         doc["witness"] = _witness_doc(report.witness)
         doc["orientations_searched"] = report.orientations_searched
 
@@ -316,233 +311,177 @@ def _replay_check(path: str) -> int:
 # ---- verify ----
 
 
+@dataclasses.dataclass
 class Row:
-    def __init__(self, name: str, status: str, detail: str = ""):
-        self.name = name
-        self.status = status
-        self.detail = detail
+    name: str
+    status: str
+    detail: str = ""
 
 
-def _check(name: str, ok: bool, detail: str = "") -> Row:
-    return Row(name, PASS if ok else FAIL, detail)
-
-
-def _against_printed(name: str, engine, printed, detail: str = "") -> Row:
-    """PASS on agreement, DISCREPANCY when the engine does strictly
-    better than the printed figure (a documented inconsistency), FAIL
-    otherwise."""
-    if engine == printed:
-        return Row(name, PASS, detail)
-    if engine < printed:
-        return Row(
-            name,
-            DISCREPANCY,
-            f"engine optimum {engine} beats printed {printed}",
-        )
-    return Row(name, FAIL, f"engine {engine} exceeds printed {printed}")
+def _row(name: str, got, want, printed: bool = False) -> Row:
+    """PASS when ``got == want``.  Against a ``printed`` figure a lower
+    engine value is a DISCREPANCY (a documented inconsistency) and a
+    higher one a FAIL; any other disagreement is a FAIL."""
+    if got == want:
+        return Row(name, PASS)
+    if not printed:
+        return Row(name, FAIL)
+    if got < want:
+        return Row(name, DISCREPANCY, f"engine optimum {got} beats printed {want}")
+    return Row(name, FAIL, f"engine {got} exceeds printed {want}")
 
 
 def _family(text: str) -> Graph:
     return build_family(parse_family_spec(text))
 
 
+def _searches(limits: SearchLimits):
+    """``best(spec, mode)`` over all orientations and ``fixed(spec, mode,
+    code)`` on one, each searching a distinct argument list once."""
+
+    @functools.cache
+    def best(spec: str, mode: Mode) -> IndexReport:
+        return best_index(_family(spec), mode, limits=limits)
+
+    @functools.cache
+    def fixed(spec: str, mode: Mode, code: int) -> IndexReport:
+        digraph = orient(_family(spec), code)
+        return best_index_for_orientation(digraph, mode, limits=limits)
+
+    return best, fixed
+
+
 def _suite_paper_anchors(limits: SearchLimits) -> list[Row]:
-    rows: list[Row] = []
-    for n in range(3, 9):
-        r = best_index(_family(f"cycle:{n}"), Mode.BLEND, limits=limits)
-        rows.append(_check(f"tau(C{n}) == 2", r.cost == 2))
-
-    c7 = _family("cycle:7")
-    expected = frozenset(Fraction(7, s) for s in (16, 18, 26, 30, 38, 40))
-    got = ratio_set(
-        Digraph(c7, c7.edges),
-        Mode.BLEND,
-        AllocationPlan(((0, 2),), Policy.SMALLEST),
-        limits,
-    )
-    rows.append(
-        _check(
+    best, fixed = _searches(limits)
+    blend, fsg = Mode.BLEND, Mode.FSG
+    c7 = orient(_family("cycle:7"), 0)
+    # the symmetric orientation turns round every edge whose tail is vertex 1
+    edges = enumerate(_family("joost:4,7").edges)
+    sym = sum(1 << i for i, (u, _) in edges if u == 1)
+    stars, paths = range(1, 11), range(3, 7)
+    return [
+        *(
+            _row(f"tau(C{n}) == 2", best(f"cycle:{n}", blend).cost, 2)
+            for n in range(3, 9)
+        ),
+        _row(
             "C7 ratio set == {7/16,7/18,7/26,7/30,7/38,7/40}",
-            got == expected,
-        )
-    )
-    rows.append(
-        _check(
-            "C7 best index == 7/16",
-            best_index(c7, Mode.BLEND, limits=limits).index
-            == Fraction(7, 16),
-        )
-    )
-
-    joost = _family("joost:4,7")
-    sym = Digraph(
-        joost,
-        tuple((v, u) if u == 1 else (u, v) for u, v in joost.edges),
-    )
-    sym_report = best_index_for_orientation(sym, Mode.BLEND, limits=limits)
-    rows.append(
-        _check(
+            ratio_set(c7, blend, AllocationPlan(((0, 2),), Policy.SMALLEST), limits),
+            frozenset(Fraction(7, s) for s in (16, 18, 26, 30, 38, 40)),
+        ),
+        _row("C7 best index == 7/16", best("cycle:7", blend).index, Fraction(7, 16)),
+        _row(
             "Joost(4,7) symmetric orientation label sum == 72",
-            sym_report.label_sum == 72,
-        )
-    )
-    rows.append(
-        _check(
+            fixed("joost:4,7", blend, sym).label_sum, 72,
+        ),
+        _row(
             "Joost(4,7) symmetric orientation index == 7/72",
-            sym_report.index == Fraction(7, 72),
-        )
-    )
-    joost_best = best_index(joost, Mode.BLEND, limits=limits)
-    rows.append(_check("tau(Joost(4,7)) == 3", joost_best.cost == 3))
-    rows.append(
-        _against_printed(
+            fixed("joost:4,7", blend, sym).index, Fraction(7, 72),
+        ),
+        _row("tau(Joost(4,7)) == 3", best("joost:4,7", blend).cost, 3),
+        _row(
             "Joost(4,7) blend label sum vs printed 72",
-            joost_best.label_sum,
-            72,
-        )
-    )
-
-    fr6 = best_index(_family("friendship:3,6"), Mode.BLEND, limits=limits)
-    rows.append(_check("tau(Fr(3,6)) == 4", fr6.cost == 4))
-    rows.append(
-        _check(
-            "Fr(3,6) best index >= 1/14", fr6.index >= Fraction(1, 14)
-        )
-    )
-    rows.append(
-        _against_printed(
-            "Fr(3,6) blend label sum vs printed 63", fr6.label_sum, 63
-        )
-    )
-
-    for n in (2, 3, 4):
-        r = best_index(_family(f"friendship:3,{n}"), Mode.FSG, limits=limits)
-        rows.append(
-            _check(f"btau(Fr(3,{n})) == {2 * (n - 1)}", r.cost == 2 * (n - 1))
-        )
-    rows.append(
-        _check(
+            best("joost:4,7", blend).label_sum, 72, printed=True,
+        ),
+        _row("tau(Fr(3,6)) == 4", best("friendship:3,6", blend).cost, 4),
+        _row(
+            "Fr(3,6) best index >= 1/14",
+            best("friendship:3,6", blend).index >= Fraction(1, 14), True,
+        ),
+        _row(
+            "Fr(3,6) blend label sum vs printed 63",
+            best("friendship:3,6", blend).label_sum, 63, printed=True,
+        ),
+        *(
+            _row(f"btau(Fr(3,{n})) == {b}", best(f"friendship:3,{n}", fsg).cost, b)
+            for n, b in ((2, 2), (3, 4), (4, 6))
+        ),
+        _row(
             "Fr(3,2) fsg index == 3/8",
-            best_index(_family("friendship:3,2"), Mode.FSG, limits=limits).index
-            == Fraction(3, 8),
-        )
-    )
-
-    for k in (1, 2, 3):
-        for n in (3, 4, 5):
-            r = best_index(_family(f"joost:{n},{k}"), Mode.FSG, limits=limits)
-            rows.append(_check(f"btau(Joost({n},{k})) == {k}", r.cost == k))
-
-    star_ok = all(
-        min_cost_for_orientation(
-            Digraph(_family(f"star:{t}"), _family(f"star:{t}").edges),
-            Mode.BLEND,
-            limits=limits,
-        ).value
-        == t.bit_length()
-        for t in range(1, 11)
-    )
-    rows.append(
-        _check("out-star blend cost == ceil(log2(t+1)), t=1..10", star_ok)
-    )
-
-    paths_ok = all(
-        best_index(_family(f"path:{n}"), Mode.BLEND, limits=limits).index == 1
-        for n in range(3, 7)
-    )
-    rows.append(_check("paths have index 1 (n=3..6)", paths_ok))
-    return rows
+            best("friendship:3,2", fsg).index, Fraction(3, 8),
+        ),
+        *(
+            _row(f"btau(Joost({n},{k})) == {k}", best(f"joost:{n},{k}", fsg).cost, k)
+            for k in (1, 2, 3)
+            for n in (3, 4, 5)
+        ),
+        _row(
+            "out-star blend cost == ceil(log2(t+1)), t=1..10",
+            [fixed(f"star:{t}", blend, 0).cost for t in stars],
+            [t.bit_length() for t in stars],
+        ),
+        _row(
+            "paths have index 1 (n=3..6)",
+            [best(f"path:{n}", blend).index for n in paths],
+            [1] * len(paths),
+        ),
+    ]
 
 
 def _suite_closed_forms(limits: SearchLimits) -> list[Row]:
-    rows: list[Row] = []
-    cycles_ok = all(
-        best_index(_family(f"cycle:{n}"), Mode.BLEND, limits=limits).cost
-        == cycle_tau(n)
-        for n in range(3, 9)
-    )
-    rows.append(_check("tau(C_n) == cycle closed form, n=3..8", cycles_ok))
+    best, _ = _searches(limits)
+    cycles = range(3, 9)
 
-    for n in (2, 3, 4):
-        engine = best_index(
-            _family(f"friendship:3,{n}"), Mode.FSG, limits=limits
-        )
-        printed = fr3_formulas(n)
-        rows.append(
-            _check(
-                f"btau(Fr(3,{n})) == closed form {printed.b_tau}",
-                engine.cost == printed.b_tau,
-            )
-        )
-        rows.append(
-            _against_printed(
-                f"Fr(3,{n}) fsg label sum vs closed form",
-                engine.label_sum,
-                printed.label_sum,
-            )
+    def fsg_rows(label: str, spec: str, form) -> tuple[Row, Row]:
+        engine = best(spec, Mode.FSG)
+        return (
+            _row(
+                f"btau({label}) == closed form {form.b_tau}", engine.cost, form.b_tau
+            ),
+            _row(
+                f"{label} fsg label sum vs closed form",
+                engine.label_sum, form.label_sum, printed=True,
+            ),
         )
 
-    bowtie = best_index(_family("friendship:3,2"), Mode.FSG, limits=limits)
-    general = general_fr_formulas(((3, 2),))
-    rows.append(
-        _against_printed(
+    triangle = fr3_formulas(2).label_sum
+    general = general_fr_formulas(((3, 2),)).label_sum
+    return [
+        _row(
+            "tau(C_n) == cycle closed form, n=3..8",
+            [best(f"cycle:{n}", Mode.BLEND).cost for n in cycles],
+            [cycle_tau(n) for n in cycles],
+        ),
+        *(
+            row
+            for n in (2, 3, 4)
+            for row in fsg_rows(
+                f"Fr(3,{n})", f"friendship:3,{n}", fr3_formulas(n)
+            )
+        ),
+        _row(
             "Fr(3,2) fsg label sum vs general windmill form",
-            bowtie.label_sum,
-            general.label_sum,
-        )
-    )
-    fr3_printed = fr3_formulas(2)
-    rows.append(
+            best("friendship:3,2", Mode.FSG).label_sum, general, printed=True,
+        ),
         Row(
             "triangle vs general windmill forms agree on Fr(3,2)",
-            PASS if fr3_printed.label_sum == general.label_sum else DISCREPANCY,
-            f"{fr3_printed.label_sum} vs {general.label_sum}",
-        )
-    )
-
-    for k in (1, 2, 3):
-        for n in (3, 4, 5):
-            engine = best_index(
-                _family(f"joost:{n},{k}"), Mode.FSG, limits=limits
+            PASS if triangle == general else DISCREPANCY,
+            f"{triangle} vs {general}",
+        ),
+        *(
+            row
+            for k in (1, 2, 3)
+            for n in (3, 4, 5)
+            for row in fsg_rows(
+                f"Joost({n},{k})", f"joost:{n},{k}", joost_formulas(n, k)
             )
-            printed = joost_formulas(n, k)
-            rows.append(
-                _check(
-                    f"btau(Joost({n},{k})) == closed form {printed.b_tau}",
-                    engine.cost == printed.b_tau,
-                )
-            )
-            rows.append(
-                _against_printed(
-                    f"Joost({n},{k}) fsg label sum vs closed form",
-                    engine.label_sum,
-                    printed.label_sum,
-                )
-            )
-    return rows
+        ),
+    ]
 
 
 def _suite_oracle(limits: SearchLimits) -> list[Row]:
-    rows: list[Row] = []
+    rows = []
     for graph in connected_graph_corpus(5):
-        ok = True
+        got, want = [], []
         for mode in Mode:
-            report = best_index(graph, mode, limits=limits)
-            oracle = oracle_invariants(graph, mode)
-            ok = ok and (
-                report.cost == oracle.cost
-                and report.label_sum == oracle.label_sum
-                and report.raw_ratio == oracle.raw_ratio
-                and report.index == oracle.index
-                and report.orientations_searched == oracle.orientations
+            r = best_index(graph, mode, limits=limits)
+            o = oracle_invariants(graph, mode)
+            got.append(
+                (r.cost, r.label_sum, r.raw_ratio, r.index, r.orientations_searched)
             )
-        rows.append(
-            _check(
-                f"oracle == optimizer on n={graph.n} m={graph.m} "
-                f"edges={list(graph.edges)}",
-                ok,
-            )
-        )
+            want.append((o.cost, o.label_sum, o.raw_ratio, o.index, o.orientations))
+        name = f"n={graph.n} m={graph.m} edges={list(graph.edges)}"
+        rows.append(_row(f"oracle == optimizer on {name}", got, want))
     return rows
 
 
@@ -681,7 +620,7 @@ def _sweep_row(payload):
             reports[cost_mode] = best_index(graph, cost_mode, policy, limits)
             row[quantity.value] = reports[cost_mode].cost
         row["labelsum"] = reports[mode].label_sum
-        row["index"] = _rational(reports[mode].index)
+        row["index"] = str(reports[mode].index)
         row["status"] = "ok"
     except LimitError as exc:
         row["status"] = f"refused: {exc}"

@@ -12,7 +12,7 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
 
 class EdgeListError(ValueError):
@@ -276,12 +276,6 @@ def collect_acyclic_orientation_bits(
 
     scan(graph.m - 1, 0, [1 << x for x in range(graph.n)])
     return out
-
-
-def acyclic_orientations(graph: Graph) -> Iterator[Digraph]:
-    """Deterministic stream of all acyclic orientations of ``graph``."""
-    for code in collect_acyclic_orientation_bits(graph):
-        yield orient(graph, code)
 
 
 class FamilyKind(Enum):

@@ -15,7 +15,6 @@ from tattooing.graphs import (
     Graph,
     MalformedLineError,
     SelfLoopError,
-    acyclic_orientations,
     build_family,
     collect_acyclic_orientation_bits,
     orient,
@@ -281,8 +280,3 @@ class TestAcyclicEnumeration:
         # coexists with a fully-backward one, so 2*7^7 - 6^7 orientations
         g = family("joost:4,7")
         assert len(collect_acyclic_orientation_bits(g)) == 2 * 7**7 - 6**7
-
-    def test_digraph_stream_matches_codes(self):
-        g = family("path:3")
-        via_digraphs = [d.bits() for d in acyclic_orientations(g)]
-        assert via_digraphs == list(collect_acyclic_orientation_bits(g))

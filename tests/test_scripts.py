@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -42,3 +44,25 @@ def test_ratio_spectrum_cycle_5():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "best: 5/12"
+
+
+@pytest.mark.parametrize(
+    "argv,code,prefix",
+    [
+        (("family_report.py", "--max-edges", "0"), 2, "error: "),
+        (
+            ("family_report.py", "--family", "cycle", "--n", "4",
+             "--max-edges", "3"),
+            3,
+            "refused: ",
+        ),
+        (("ratio_spectrum.py", "--family", "nope:3"), 2, "error: "),
+        (("ratio_spectrum.py", "--family", "cycle:30"), 3, "refused: "),
+    ],
+)
+def test_bad_input_exits_without_traceback(argv, code, prefix):
+    done = run_script(*argv)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(prefix)
+    assert done.stderr.count("\n") == 1
