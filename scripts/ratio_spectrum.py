@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Show every achievable edge/label-sum ratio for a fixed orientation.
 
-Holds the orientation and the initial allocation fixed and enumerates
-all complete dispatch schedules, so the spread of the printed list is
-entirely due to arc-choice patterns.
+Holds the orientation and the initial allocation fixed and explores
+each distinct state of the dispatch process once, so the spread of the
+printed list is entirely due to arc-choice patterns.
 
 Example:
 
@@ -49,9 +49,14 @@ def main() -> int:
         plan = AllocationPlan.from_counts(
             {args.vertex: args.colours}, Policy.SMALLEST
         )
+        if not 0 <= args.orientation < 1 << graph.m:
+            raise ValueError(
+                f"orientation code {args.orientation} out of range for "
+                f"{graph.m} edges"
+            )
         digraph = orient(graph, args.orientation)
         ratios = ratio_set(digraph, Mode(args.mode), plan, SearchLimits())
-    except ValueError as exc:  # a bad family spec or allocation
+    except ValueError as exc:  # a bad spec, code or allocation
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LimitError as exc:

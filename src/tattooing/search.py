@@ -66,7 +66,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, combinations, permutations
 
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
@@ -202,6 +202,26 @@ class SearchLimits:
                 f"graph has {graph.m} edges, limit is {self.max_edges} "
                 "(raise TATTOO_MAX_EDGES or pass a larger limit)"
             )
+
+
+class _Clock:
+    """Counts units of work and checks the deadline on the first of
+    every 256."""
+
+    def __init__(self, time_budget: float | None):
+        self.deadline = (
+            time.monotonic() + time_budget if time_budget is not None else None
+        )
+        self.ticks = 0
+
+    def tick(self) -> None:
+        self.ticks += 1
+        if self.ticks % 256 == 1:
+            self.check()
+
+    def check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise LimitError("time budget exceeded")
 
 
 @dataclass(frozen=True)
@@ -443,12 +463,7 @@ class _Searcher:
         self.mode = mode
         self.policy = policy
         self.limits = limits
-        self.deadline = (
-            time.monotonic() + limits.time_budget
-            if limits.time_budget is not None
-            else None
-        )
-        self.ticks = 0
+        self.clock = _Clock(limits.time_budget)
         self.prefix = _cheap_prefix(
             mode, max(len(a) for a in graph.adjacency())
         )
@@ -459,15 +474,6 @@ class _Searcher:
         self._generators: list[tuple[tuple[tuple[int, ...], ...], int]] = []
         if graph.m == 0:
             raise ValueError("the process needs at least one edge")
-
-    def _tick(self) -> None:
-        self.ticks += 1
-        if self.ticks % 256 == 1:
-            self._check_time()
-
-    def _check_time(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise LimitError("time budget exceeded")
 
     # ---- cost bound, updated edge by edge ----
     #
@@ -548,7 +554,7 @@ class _Searcher:
             for action in self._generators:
                 image = _act(c, action)
                 if image not in labels:
-                    self._tick()
+                    self.clock.tick()
                     labels[image] = rep
                     queue.append(image)
         return rep
@@ -597,9 +603,9 @@ class _Searcher:
 
     def run(self, workers: int = 1) -> IndexReport:
         bits = collect_acyclic_orientation_bits(
-            self.graph, check=self._check_time
+            self.graph, check=self.clock.check
         )
-        self._tick()
+        self.clock.tick()
         return self._solve(bits, workers)
 
     def run_fixed(self, code: int) -> IndexReport:
@@ -625,7 +631,7 @@ class _Searcher:
                 reps = []
                 for code, lb in zip(codes, lbs):
                     if lb <= c:
-                        self._tick()
+                        self.clock.tick()
                         if self._rep_for(code) == code:
                             reps.append(code)
                 # levels only grow: a pool starts at the first level
@@ -654,8 +660,8 @@ class _Searcher:
         """A pool of ``size`` workers, each of which builds one searcher
         and keeps it for every level the pool serves."""
         remaining = None
-        if self.deadline is not None:
-            remaining = max(0.1, self.deadline - time.monotonic())
+        if self.clock.deadline is not None:
+            remaining = max(0.1, self.clock.deadline - time.monotonic())
         limits = SearchLimits(
             max_edges=self.limits.max_edges, time_budget=remaining
         )
@@ -693,7 +699,7 @@ class _Searcher:
         the ``best`` record of :meth:`_probe`."""
         best: dict = {"S": None, "code": None, "events": None, "plan": None}
         for code in codes:
-            self._tick()
+            self.clock.tick()
             self._probe(code, budget, best)
         return best
 
@@ -823,7 +829,7 @@ class _Searcher:
     ) -> None:
         """Fire ``o.firing[k]`` every way the budget and the incumbent
         allow, then the rest of the firing order."""
-        self._tick()
+        self.clock.tick()
         if cost + lb_rem > budget:
             return
         if best["S"] is not None and ssum + o.floor[k] >= best["S"]:
@@ -1122,13 +1128,16 @@ def ratio_set(
     """Every ratio edges/(cost * label sum) reachable from a fixed
     orientation and allocation without any augmentation.
 
-    Enumerates all complete schedules through the process engine itself,
+    Explores each distinct state once through the process engine itself,
     branching over every injective pool assignment at each firing.
-    Raises if no schedule completes.
+    Raises ValueError on a cyclic orientation or if no schedule
+    completes, and LimitError once the time budget is spent.
     """
-    (limits or SearchLimits()).check(digraph.graph)
+    limits = limits or SearchLimits()
+    limits.check(digraph.graph)
+    if not digraph.is_acyclic():
+        raise ValueError("orientation has a directed cycle")
     m = digraph.graph.m
-    sums: set[int] = set()
 
     if mode is Mode.BRUSH:
         state = initial_state(digraph, mode, plan)
@@ -1147,21 +1156,51 @@ def ratio_set(
             raise ValueError("no schedule completes from this allocation")
         return frozenset({Fraction(m, plan.total * state.label_sum)})
 
-    def explore(state) -> None:
+    # Pools never augment, so the cost stays fixed; the tattooed arcs fix
+    # which vertex fires next; and colours are read only at vertices that
+    # will still fire.  Those three things are all a state's future sees.
+    # Arcs into sinks are only weighed, so they take each combination,
+    # not each permutation, of the sets the live arcs left.
+    clock = _Clock(limits.time_budget)
+    memo: dict[tuple, frozenset[int]] = {}
+
+    def explore(state) -> frozenset[int]:
+        """Label-sum increments of the schedules that complete ``state``."""
+        to_fire = [
+            v for v in range(digraph.graph.n) if state.untattooed_out(v)
+        ]
+        key = (
+            tuple(s is None for s in state.arc_status),
+            tuple(
+                (state.primaries_present[v], state.arrived_blends[v])
+                for v in to_fire
+            ),
+        )
+        if key in memo:
+            return memo[key]
         ready = ready_vertices(state)
         if not ready:
-            if state.complete:
-                sums.add(state.label_sum)
-            return
-        v = ready[0]
-        todo = state.untattooed_out(v)
-        pool = mutate_pool(state, v)
-        if len(pool) < len(todo):
-            return
-        for combo in permutations(pool, len(todo)):
-            explore(fire(state, v, tuple(zip(todo, combo))))
+            found = {0} if state.complete else set()
+        else:
+            v = ready[0]
+            todo = state.untattooed_out(v)
+            live = [i for i in todo if digraph.out_arcs(digraph.head(i))]
+            dead = [i for i in todo if not digraph.out_arcs(digraph.head(i))]
+            pool = mutate_pool(state, v)
+            found = set()
+            for sets in permutations(pool, len(live)):
+                rest = [c for c in pool if c not in sets]
+                for tail in combinations(rest, len(dead)):
+                    clock.tick()
+                    child = fire(
+                        state, v, tuple(zip(live + dead, sets + tail))
+                    )
+                    step = sum(c.weight for c in sets + tail)
+                    found.update(step + x for x in explore(child))
+        memo[key] = frozenset(found)
+        return memo[key]
 
-    explore(initial_state(digraph, mode, plan))
+    sums = explore(initial_state(digraph, mode, plan))
     if not sums:
         raise ValueError("no schedule completes from this allocation")
     return frozenset(Fraction(m, plan.total * s) for s in sums)

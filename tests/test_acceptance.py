@@ -106,7 +106,7 @@ def test_criterion_3_joost_anchor():
     criterion(3, "seven-path anchor, symmetric orientation", checks)
 
 
-def test_criterion_4_friendship_anchor(capsys):
+def test_criterion_4_friendship_anchor(capsys, shared_searches):
     report = best_index(family("friendship:3,6"), Mode.BLEND, limits=LIMITS)
     rows = verify_rows(capsys, "paper-anchors")
     surfaced = rows.get("Fr(3,6) blend label sum vs printed 63")

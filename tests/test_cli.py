@@ -237,6 +237,17 @@ class TestComputeOrientation:
         assert code == 2
         assert message in err
 
+    def test_ratio_set_time_budget_exits_3(self, capsys, monkeypatch):
+        # about 16,600 firings, with the deadline checked every 256
+        monkeypatch.setenv("TATTOO_TIME_BUDGET", "0.001")
+        code, out, err = run(
+            capsys, "compute", "--family", "friendship:3,2", "--quantity",
+            "ratio-set", "--orientation", "0", "--allocate", "0:4",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "refused: time budget exceeded\n"
+
 
 class TestReplay:
     def save(self, capsys, tmp_path, *argv):
@@ -420,12 +431,14 @@ GOLDEN = Path(__file__).parent / "data" / "verify"
 
 
 def counting_searches(monkeypatch) -> list[tuple]:
-    """Record the (graph, mode) of every ``best_index`` call ``cli`` makes."""
+    """Record the (graph, mode) of every ``best_index`` call ``cli`` makes,
+    passing each on to the search ``cli`` held before."""
     calls = []
+    searched = cli.best_index
 
     def counted(graph, mode, *args, **kwargs):
         calls.append((graph.n, graph.edges, mode))
-        return search.best_index(graph, mode, *args, **kwargs)
+        return searched(graph, mode, *args, **kwargs)
 
     monkeypatch.setattr(cli, "best_index", counted)
     return calls
@@ -435,7 +448,9 @@ class TestVerify:
     # the goldens pin each suite's output byte for byte: row labels, order,
     # statuses and details; regenerate one only when a row is meant to change
 
-    def test_paper_anchors_has_no_failures(self, capsys, monkeypatch):
+    def test_paper_anchors_has_no_failures(
+        self, capsys, monkeypatch, shared_searches
+    ):
         calls = counting_searches(monkeypatch)
         code, out, _ = run(capsys, "verify", "--suite", "paper-anchors")
         assert code == 0

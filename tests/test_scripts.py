@@ -58,6 +58,16 @@ def test_ratio_spectrum_cycle_5():
         ),
         (("ratio_spectrum.py", "--family", "nope:3"), 2, "error: "),
         (("ratio_spectrum.py", "--family", "cycle:30"), 3, "refused: "),
+        (
+            ("ratio_spectrum.py", "--family", "cycle:3", "--orientation", "99"),
+            2,
+            "error: orientation code 99 out of range",
+        ),
+        (
+            ("ratio_spectrum.py", "--family", "cycle:3", "--orientation", "2"),
+            2,
+            "error: orientation has a directed cycle",
+        ),
     ],
 )
 def test_bad_input_exits_without_traceback(argv, code, prefix):

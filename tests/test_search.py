@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, permutations
 from types import SimpleNamespace
 
 import networkx as nx
@@ -115,6 +115,93 @@ class TestRatioSet:
         g = family("star:4")
         with pytest.raises(ValueError):
             ratio_set(identity_orientation(g), Mode.BRUSH, source_plan(2))
+
+
+def _reference_ratio_set(
+    digraph: Digraph, mode: Mode, plan: AllocationPlan
+) -> frozenset[Fraction]:
+    """Reference ratio set (FSG and BLEND): every complete schedule fired
+    through the engine, with every permutation of the pool at each firing,
+    as ``ratio_set`` once did before it shared equal states."""
+    sums: set[int] = set()
+
+    def explore(state) -> None:
+        ready = ready_vertices(state)
+        if not ready:
+            if state.complete:
+                sums.add(state.label_sum)
+            return
+        v = ready[0]
+        todo = state.untattooed_out(v)
+        pool = engine.mutate_pool(state, v)
+        if len(pool) < len(todo):
+            return
+        for combo in permutations(pool, len(todo)):
+            explore(fire(state, v, tuple(zip(todo, combo))))
+
+    explore(initial_state(digraph, mode, plan))
+    if not sums:
+        raise ValueError("no schedule completes from this allocation")
+    return frozenset(Fraction(digraph.graph.m, plan.total * s) for s in sums)
+
+
+class TestSharedStates:
+    """``ratio_set`` explores each distinct state once; it must reach the
+    same ratios, and fail with the same message, as the reference."""
+
+    @staticmethod
+    def outcome(ratios, *args):
+        try:
+            return ratios(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    def test_corpus_matches_reference(self):
+        allocations = ({0: 2}, {0: 3}, {0: 1, 1: 2})
+        cases = 0
+        for graph in connected_graph_corpus(5):
+            for code in collect_acyclic_orientation_bits(graph):
+                digraph = orient(graph, code)
+                for mode in (Mode.FSG, Mode.BLEND):
+                    for policy in Policy:
+                        for counts in allocations:
+                            plan = AllocationPlan.from_counts(counts, policy)
+                            args = (digraph, mode, plan)
+                            got = self.outcome(ratio_set, *args)
+                            want = self.outcome(_reference_ratio_set, *args)
+                            assert got == want, (graph.edges, code, *args[1:])
+                            cases += 1
+        assert cases == 5304
+
+    def test_fires_far_fewer_times(self, monkeypatch):
+        # the reference fires 98,280 times here
+        fired = []
+
+        def counted(*args, **kwargs):
+            fired.append(args[1])
+            return fire(*args, **kwargs)
+
+        monkeypatch.setattr(search, "fire", counted)
+        digraph = orient(family("friendship:3,2"), 0)
+        plan = AllocationPlan(((0, 4),), Policy.SMALLEST)
+        assert len(ratio_set(digraph, Mode.BLEND, plan, NO_CAP)) == 42
+        assert 0 < len(fired) < 20_000
+
+    def test_cyclic_orientation_is_named(self):
+        g = family("cycle:3")
+        cyclic = [c for c in range(1 << g.m) if not orient(g, c).is_acyclic()]
+        assert cyclic
+        for code in cyclic:
+            for mode in (Mode.BRUSH, Mode.BLEND):
+                with pytest.raises(ValueError, match="has a directed cycle"):
+                    ratio_set(orient(g, code), mode, source_plan(2))
+
+    def test_time_budget_refusal(self):
+        digraph = orient(family("friendship:3,2"), 0)
+        plan = AllocationPlan(((0, 4),), Policy.SMALLEST)
+        tight = SearchLimits(max_edges=30, time_budget=1e-3)
+        with pytest.raises(LimitError, match="time budget exceeded"):
+            ratio_set(digraph, Mode.BLEND, plan, tight)
 
 
 class TestFixedOrientation:
@@ -563,7 +650,7 @@ class TestLearnedOrbits:
         for code in codes:
             searcher._rep_for(code)
         assert len(searcher._iso_rep) == len(codes)
-        assert searcher.ticks == len(codes) - len(hashed) > 0
+        assert searcher.clock.ticks == len(codes) - len(hashed) > 0
 
     @pytest.mark.parametrize(
         "mapping,message",
