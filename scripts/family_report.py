@@ -23,23 +23,28 @@ from tattooing import (
 
 
 def parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
+    """``N`` or ``A..B``, both ends included; an empty range is an error."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise ValueError(f"bad range {text!r}: use N or A..B") from None
+    if not values:
+        raise ValueError(f"empty range {text!r}: A..B needs A <= B")
+    return values
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--family", default="cycle")
-    parser.add_argument("--n", default="3..8", type=parse_range)
+    parser.add_argument("--n", default="3..8", help="range N or A..B")
     parser.add_argument("--q", type=int, help="cycle length for friendship")
     parser.add_argument("--k", type=int, help="path count for joost")
     parser.add_argument("--max-edges", type=int, default=None)
     args = parser.parse_args()
     try:
         report(args)
-    except ValueError as exc:  # a bad family spec or edge limit
+    except ValueError as exc:  # a bad range, family spec or edge limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LimitError as exc:
@@ -53,10 +58,11 @@ def report(args) -> None:
         max_edges=args.max_edges, time_budget=SearchLimits().time_budget
     )
 
+    sizes = parse_range(args.n)
     header = f"{'instance':<18}{'|V|':>5}{'|E|':>5}{'br':>5}{'btau':>6}{'tau':>5}{'S*':>6}  index"
     print(header)
     print("-" * len(header))
-    for n in args.n:
+    for n in sizes:
         if args.family == "friendship":
             spec = f"friendship:{args.q or 3},{n}"
         elif args.family == "joost":

@@ -189,6 +189,8 @@ def _graph_doc(graph: Graph) -> dict:
 
 
 def cmd_compute(args) -> int:
+    if args.allocate is not None and args.quantity != "ratio-set":
+        raise InputError("--allocate applies only to --quantity ratio-set")
     if args.replay:
         return _replay_check(args.replay)
     if args.quantity is None:

@@ -16,10 +16,16 @@ A vertex fires once, as soon as every in-arc is tattooed, so each run
 fires the vertices of its orientation in a topological order.  The
 search explores one order per orientation: the topological order that
 always removes the smallest ready vertex (Kahn), restricted to the
-vertices with out-arcs.  The depth-first search takes the vertex at
-depth ``k`` from that list and carries only colour state.  This loses
-nothing: a vertex fires exactly once, and what it can dispatch depends
-only on its arrivals, not on when unrelated vertices fired.
+vertices with out-arcs.  Each orientation's order becomes a table of
+firing steps, built once before its search: step ``k`` holds the vertex
+that fires at depth ``k``, its out-arcs into vertices that fire later,
+its out-arcs into sinks, and which of its live arcs are
+interchangeable (the second pruning below).  The depth-first search is
+one recursive step per firing: step ``k`` dispatches distinct pool sets
+injectively along the vertex's out-arcs, every way the bounds allow,
+and recurses on step ``k + 1`` with only colour state carried.  This
+loses nothing: a vertex fires exactly once, and what it can dispatch
+depends only on its arrivals, not on when unrelated vertices fired.
 
 Under the SMALLEST policy the search works purely with firing-time
 augmentation; an initial allocation at a vertex behaves exactly like
@@ -66,7 +72,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, islice, permutations
 
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
@@ -324,134 +330,82 @@ def _grant_mask(held: int, policy: Policy, fresh: int, count: int) -> int:
 
 
 class _Orientation:
-    """One orientation's firing order and bounds, with shape data for
-    the symmetry prunings."""
+    """One orientation's firing steps and bounds.
 
-    __slots__ = (
-        "code",
-        "digraph",
-        "live",
-        "firing",
-        "need_out",
-        "floor",
-        "sig",
-        "desc",
-        "classes",
-    )
+    ``steps[k]`` is ``(v, live, sinks, follows)`` for the vertex ``v``
+    that fires at depth ``k``: its out-arcs into vertices that fire
+    later, its out-arcs into sinks, and for each live arc the position
+    of the earlier live arc in its exchange class (-1 if none).
+
+    An exchange class groups the live arcs whose heads have equal shape
+    signatures, pairwise-disjoint firing closures, and no in-arcs from
+    outside their own closure other than from v.  Each arc of a class
+    takes a pool set later than the one before it.  FRESH numbering
+    depends on global firing order, so every class is a singleton there.
+    """
+
+    __slots__ = ("digraph", "need_out", "floor", "steps")
 
     def __init__(
-        self, graph: Graph, code: int, mode: Mode, prefix: tuple[int, ...]
+        self,
+        graph: Graph,
+        code: int,
+        mode: Mode,
+        policy: Policy,
+        prefix: tuple[int, ...],
     ):
-        self.code = code
         d = self.digraph = orient(graph, code)
-        self.live = [bool(d.out_arcs(v)) for v in range(graph.n)]
-        self.firing = [v for v in d.topological_order() if self.live[v]]
+        firing = [v for v in d.topological_order() if d.out_arcs(v)]
         self.need_out = [
             required_primaries(d.out_degree(v), mode) for v in range(graph.n)
         ]
         # floor[k]: least label sum the firings from depth k on can add
         self.floor = list(
             accumulate(
-                (prefix[d.out_degree(v)] for v in reversed(self.firing)),
+                (prefix[d.out_degree(v)] for v in reversed(firing)),
                 initial=0,
             )
         )[::-1]
-        self.sig: dict[int, int] | None = None
-        self.desc: dict[int, frozenset[int]] | None = None
-        self.classes: dict[int, dict[int, int]] = {}
-
-    def _shape_data(self) -> None:
-        """Interned shape signature and firing closure per vertex."""
-        if self.sig is not None:
-            return
-        d = self.digraph
+        # interned shape signature and firing closure of each firing
+        # vertex, children before parents
         intern: dict[tuple, int] = {}
         sig: dict[int, int] = {}
         desc: dict[int, frozenset[int]] = {}
-        # reversed topological order visits children before parents
-        for v in reversed(d.topological_order()):
-            if not self.live[v]:
-                sig[v] = -1
-                desc[v] = frozenset()
-                continue
-            live_children = []
-            sinks = 0
-            closure: set[int] = {v}
-            for i in d.out_arcs(v):
-                h = d.head(i)
-                if self.live[h]:
-                    live_children.append(sig[h])
-                    closure |= desc[h]
-                else:
-                    sinks += 1
-            key = (d.in_degree(v), sinks, tuple(sorted(live_children)))
+        for v in reversed(firing):
+            heads = [d.head(i) for i in d.out_arcs(v)]
+            kids = [h for h in heads if h in sig]
+            key = (
+                d.in_degree(v),
+                len(heads) - len(kids),
+                tuple(sorted(sig[h] for h in kids)),
+            )
             sig[v] = intern.setdefault(key, len(intern))
-            desc[v] = frozenset(closure)
-        self.sig = sig
-        self.desc = desc
-
-    def exchange_classes(self, v: int, policy: Policy) -> dict[int, int]:
-        """Map each live out-arc of v to an interchangeability class.
-
-        Classes group arcs whose heads have equal shape signatures,
-        pairwise-disjoint firing closures, and no in-arcs from outside
-        their own closure other than from v.  FRESH numbering depends
-        on global firing order, so everything stays singleton there.
-        """
-        cached = self.classes.get(v)
-        if cached is not None:
-            return cached
-        d = self.digraph
-        live_arcs = [i for i in d.out_arcs(v) if self.live[d.head(i)]]
-        classes: dict[int, int] = {}
-        if policy is Policy.FRESH:
-            for j, i in enumerate(live_arcs):
-                classes[i] = -1 - j
-            self.classes[v] = classes
-            return classes
-        self._shape_data()
-        by_sig: dict[int, list[int]] = {}
-        for i in live_arcs:
-            by_sig.setdefault(self.sig[d.head(i)], []).append(i)
-        nxt = 0
-        for arcs_here in by_sig.values():
-            group = []
-            for i in arcs_here:
-                if self._closed_under(v, d.head(i)):
-                    group.append(i)
+            desc[v] = frozenset({v}.union(*(desc[h] for h in kids)))
+        self.steps = []
+        for v in firing:
+            live = [i for i in d.out_arcs(v) if d.head(i) in sig]
+            sinks = [i for i in d.out_arcs(v) if d.head(i) not in sig]
+            follows = []
+            # per signature: the class's latest arc and its closures
+            latest: dict[int, tuple[int, frozenset[int]]] = {}
+            for pos, i in enumerate(live):
+                h = d.head(i)
+                prev, taken = latest.get(sig[h], (-1, frozenset()))
+                closure = desc[h]
+                if (
+                    policy is Policy.SMALLEST
+                    and not closure & taken
+                    and all(
+                        d.tail(j) == v or d.tail(j) in closure
+                        for w in closure
+                        for j in d.in_arcs(w)
+                    )
+                ):
+                    follows.append(prev)
+                    latest[sig[h]] = (pos, taken | closure)
                 else:
-                    classes[i] = -1 - i
-            # heads with overlapping closures cannot be interchanged
-            ok = []
-            taken: set[int] = set()
-            for i in group:
-                closure = self.desc[d.head(i)]
-                if closure & taken:
-                    classes[i] = -1 - i
-                else:
-                    taken |= closure
-                    ok.append(i)
-            if len(ok) >= 2:
-                for i in ok:
-                    classes[i] = nxt
-                nxt += 1
-            else:
-                for i in ok:
-                    classes[i] = -1 - i
-        self.classes[v] = classes
-        return classes
-
-    def _closed_under(self, v: int, h: int) -> bool:
-        """True if every in-arc into h's firing closure starts at v or
-        inside the closure itself."""
-        closure = self.desc[h]
-        d = self.digraph
-        for w in closure:
-            for i in d.in_arcs(w):
-                t = d.tail(i)
-                if t != v and t not in closure:
-                    return False
-        return True
+                    follows.append(-1)
+            self.steps.append((v, live, sinks, follows))
 
 
 class _Searcher:
@@ -467,7 +421,6 @@ class _Searcher:
         self.prefix = _cheap_prefix(
             mode, max(len(a) for a in graph.adjacency())
         )
-        self._plan: tuple[tuple[int, int], ...] = ()
         self._pools: dict = {}
         self._iso_buckets: dict[str, list[tuple[int, nx.DiGraph]]] = {}
         self._iso_rep: dict[int, int] = {}
@@ -499,6 +452,8 @@ class _Searcher:
                 lb += f[u][ou - 1] - f[u][ou] + f[v][ov + 1] - f[v][ov]
                 out[u], out[v] = ou - 1, ov + 1
             lbs.append(lb)
+            if len(lbs) % 256 == 0:
+                self.clock.check()
         return lbs
 
     def _rep_for(self, code: int) -> int:
@@ -730,34 +685,121 @@ class _Searcher:
 
     def _probe(self, code: int, budget: int, best: dict) -> None:
         """Minimise the label sum on one orientation at cost at most
-        ``budget``, updating ``best`` on strict improvement."""
-        o = _Orientation(self.graph, code, self.mode, self.prefix)
+        ``budget``, updating ``best`` on strict improvement.
+
+        One recursive step, ``dfs(k, ...)``, fires the vertex of
+        ``steps[k]``: for each augmentation count the budget allows, it
+        gives the live arcs every injective assignment of pool sets
+        (``place``, ascending within an exchange class), gives the arcs
+        into sinks the cheapest sets left, and recurses on the colour
+        state that leaves.  Both coordinates are cut by admissible
+        bounds: ``cost + lb_rem`` against the budget, and the label sum
+        so far plus the floor (or the cheapest sets still to place)
+        against the incumbent.
+        """
+        o = _Orientation(self.graph, code, self.mode, self.policy, self.prefix)
+        need_out, floor, steps = o.need_out, o.floor, o.steps
+        arcs = o.digraph.arcs
+        tick, policy, pool_for = self.clock.tick, self.policy, self._pool_for
+
+        def dfs(k, present, blends, avail, lb_rem, cost, ssum, fresh, events):
+            tick()
+            if cost + lb_rem > budget:
+                return
+            if best["S"] is not None and ssum + floor[k] >= best["S"]:
+                return
+            if k == len(steps):
+                # every arc is tattooed, so the floor is 0 and the check
+                # above has made this a strict improvement
+                best.update(S=ssum, code=code, events=events, plan=plan)
+                return
+            v, live, sinks, follows = steps[k]
+            old, arrived = present[v], blends[v]
+            lb_others = lb_rem - max(0, need_out[v] - avail[v])
+            todo = len(live) + len(sinks)
+            bound_base = ssum + floor[k + 1]
+            picks = [0] * len(live)
+
+            def place(pos: int, add: int) -> None:
+                """Put each unused pool set on live arc ``pos`` in turn;
+                past the last live arc, fire ``v``."""
+                if (
+                    best["S"] is not None
+                    and bound_base + add + cheapest[todo - pos] >= best["S"]
+                ):
+                    return
+                if pos < len(live):
+                    f = follows[pos]
+                    for pi in range(picks[f] + 1 if f >= 0 else 0, len(pool)):
+                        if not used[pi]:
+                            used[pi] = True
+                            picks[pos] = pi
+                            place(pos + 1, add + weights[pi])
+                            used[pi] = False
+                    return
+                # the pool holds a set for every arc, so enough are left
+                spare = (pi for pi, u in enumerate(used) if not u)
+                sink_picks = list(islice(spare, len(sinks)))
+                add += sum(weights[pi] for pi in sink_picks)
+                all_picks = picks + sink_picks
+                refs = 0
+                for pi in all_picks:
+                    if pool[pi] not in arrived:
+                        refs |= pool[pi] & ~old
+                if refs != granted:
+                    return
+                new_present, new_blends = list(present), list(blends)
+                new_avail, new_lb = list(avail), lb_others
+                # colours are read only at heads that fire later
+                for i, pi in zip(live, picks):
+                    c, h = pool[pi], arcs[i][1]
+                    if c & (c - 1) == 0:
+                        merged = bool(new_present[h] & c)
+                        new_present[h] |= c
+                    else:
+                        merged = c in new_blends[h]
+                        new_blends[h] = new_blends[h] | {c}
+                    if merged:
+                        # a merged arrival shrinks the head's future pool,
+                        # which raises its share of the bound if positive
+                        new_lb += need_out[h] >= new_avail[h]
+                        new_avail[h] -= 1
+                assignment = sorted(
+                    (i, pool[pi]) for i, pi in zip(live + sinks, all_picks)
+                )
+                dfs(
+                    k + 1,
+                    new_present,
+                    new_blends,
+                    new_avail,
+                    new_lb,
+                    cost + extra,
+                    ssum + add,
+                    fresh + extra,  # read only under FRESH
+                    events + [(v, tuple(assignment))],
+                )
+
+            for extra in range(need_out[v] + 1):
+                if cost + extra + lb_others > budget:
+                    break
+                granted = _grant_mask(old, policy, fresh, extra)
+                pool, weights, cheapest = pool_for(old | granted, arrived)
+                if len(pool) >= todo:
+                    used = [False] * len(pool)
+                    place(0, 0)
+
         n = self.graph.n
-        if self.policy is Policy.SMALLEST:
+        if policy is Policy.SMALLEST:
             starts = [((), [0] * n, 1, 0)]
         else:
             starts = self._fresh_starts(o, budget)
         for plan, present0, fresh0, cost0 in starts:
-            self._plan = plan
             avail = [
-                bin(present0[v]).count("1") + o.digraph.in_degree(v)
-                for v in range(n)
+                bin(p).count("1") + o.digraph.in_degree(v)
+                for v, p in enumerate(present0)
             ]
-            lb_rem = sum(max(0, o.need_out[v] - avail[v]) for v in o.firing)
-            self._dfs(
-                o,
-                0,
-                list(present0),
-                [frozenset()] * n,
-                avail,
-                lb_rem,
-                cost0,
-                0,
-                fresh0,
-                [],
-                budget,
-                best,
-            )
+            lb_rem = sum(max(0, need - a) for need, a in zip(need_out, avail))
+            dfs(0, present0, [frozenset()] * n, avail, lb_rem, cost0, 0, fresh0, [])
 
     def _fresh_starts(self, o: _Orientation, budget: int):
         """Initial allocation count vectors for the FRESH policy."""
@@ -811,180 +853,6 @@ class _Searcher:
             got = (pool, weights, cheapest)
             self._pools[key] = got
         return got
-
-    def _dfs(
-        self,
-        o: _Orientation,
-        k: int,
-        present: list[int],
-        blends: list[frozenset[int]],
-        avail: list[int],
-        lb_rem: int,
-        cost: int,
-        ssum: int,
-        fresh: int,
-        events: list,
-        budget: int,
-        best: dict,
-    ) -> None:
-        """Fire ``o.firing[k]`` every way the budget and the incumbent
-        allow, then the rest of the firing order."""
-        self.clock.tick()
-        if cost + lb_rem > budget:
-            return
-        if best["S"] is not None and ssum + o.floor[k] >= best["S"]:
-            return
-        if k == len(o.firing):
-            # every arc is tattooed, so the floor is 0 and the check
-            # above has made this a strict improvement
-            best["S"] = ssum
-            best["code"] = o.code
-            best["events"] = list(events)
-            best["plan"] = self._plan
-            return
-        v = o.firing[k]
-        d = o.digraph
-        todo = d.out_arcs(v)
-        live = [i for i in todo if o.live[d.head(i)]]
-        sinks = [i for i in todo if not o.live[d.head(i)]]
-        classes = o.exchange_classes(v, self.policy) if live else {}
-        old = present[v]
-        arrived = blends[v]
-        lb_others = lb_rem - max(0, o.need_out[v] - avail[v])
-        cap = o.need_out[v]
-        ctx = (o, k, v, live, sinks, classes, old, arrived, lb_others)
-        state = (present, blends, avail)
-        for extra in range(0, cap + 1):
-            if cost + extra + lb_others > budget:
-                break
-            granted = _grant_mask(old, self.policy, fresh, extra)
-            held = old | granted
-            pool, weights, cheapest = self._pool_for(held, arrived)
-            if len(pool) < len(todo):
-                continue
-            self._assignments(
-                ctx,
-                state,
-                pool,
-                weights,
-                cheapest,
-                granted,
-                cost + extra,
-                ssum,
-                fresh + (extra if self.policy is Policy.FRESH else 0),
-                events,
-                budget,
-                best,
-            )
-
-    def _assignments(
-        self,
-        ctx,
-        state,
-        pool,
-        weights,
-        cheapest,
-        granted,
-        cost,
-        ssum,
-        fresh,
-        events,
-        budget,
-        best,
-    ):
-        o, k, v, live, sinks, classes, old, arrived, lb_others = ctx
-        present, blends, avail = state
-        size = len(pool)
-        used = [False] * size
-        chosen: list[int] = []
-        floors: dict[int, int] = {}
-        n_live = len(live)
-        n_sink = len(sinks)
-        bound_base = ssum + o.floor[k + 1]
-
-        def place(pos: int, add: int) -> None:
-            if best["S"] is not None:
-                left = n_live - pos + n_sink
-                if bound_base + add + cheapest[left] >= best["S"]:
-                    return
-            if pos == n_live:
-                finish(add)
-                return
-            cls = classes[live[pos]]
-            start = floors.get(cls, 0)
-            for pi in range(start, size):
-                if used[pi]:
-                    continue
-                used[pi] = True
-                chosen.append(pi)
-                prev = floors.get(cls, 0)
-                floors[cls] = pi + 1
-                place(pos + 1, add + weights[pi])
-                floors[cls] = prev
-                chosen.pop()
-                used[pi] = False
-
-        def finish(add: int) -> None:
-            sink_picks: list[int] = []
-            if sinks:
-                for pi in range(size):
-                    if not used[pi]:
-                        sink_picks.append(pi)
-                        if len(sink_picks) == n_sink:
-                            break
-                if len(sink_picks) < n_sink:
-                    return
-                for pi in sink_picks:
-                    add += weights[pi]
-            all_picks = chosen + sink_picks
-            refs = 0
-            for pi in all_picks:
-                c = pool[pi]
-                if c not in arrived:
-                    refs |= c & ~old
-            if refs != granted:
-                return
-            new_present = list(present)
-            new_blends = list(blends)
-            new_avail = list(avail)
-            new_lb = lb_others
-            arcs = o.digraph.arcs
-            need_out = o.need_out
-            # colours are read only at heads that fire later
-            for i, pi in zip(live, chosen):
-                c = pool[pi]
-                h = arcs[i][1]
-                if c & (c - 1) == 0:
-                    merged = bool(new_present[h] & c)
-                    new_present[h] |= c
-                else:
-                    merged = c in new_blends[h]
-                    if not merged:
-                        new_blends[h] = new_blends[h] | {c}
-                if merged:
-                    # a merged arrival shrinks the head's future pool
-                    before = max(0, need_out[h] - new_avail[h])
-                    new_avail[h] -= 1
-                    new_lb += max(0, need_out[h] - new_avail[h]) - before
-            assignment = sorted(
-                (i, pool[pi]) for i, pi in zip(live + sinks, all_picks)
-            )
-            self._dfs(
-                o,
-                k + 1,
-                new_present,
-                new_blends,
-                new_avail,
-                new_lb,
-                cost,
-                ssum + add,
-                fresh,
-                events + [(v, tuple(assignment))],
-                budget,
-                best,
-            )
-
-        place(0, 0)
 
     # ---- witnesses ----
 

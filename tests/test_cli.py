@@ -237,6 +237,23 @@ class TestComputeOrientation:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "cycle:5", "--quantity", "tau"),
+            ("--replay", "no-such-document.json"),
+        ],
+        ids=["tau", "replay"],
+    )
+    def test_allocate_without_ratio_set_exits_2(
+        self, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setattr(cli, "best_index", None)  # no search may run
+        code, out, err = run(capsys, "compute", *argv, "--allocate", "0:2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --allocate applies only to --quantity ratio-set\n"
+
     def test_ratio_set_time_budget_exits_3(self, capsys, monkeypatch):
         # about 16,600 firings, with the deadline checked every 256
         monkeypatch.setenv("TATTOO_TIME_BUDGET", "0.001")

@@ -51,6 +51,12 @@ def test_ratio_spectrum_cycle_5():
     [
         (("family_report.py", "--max-edges", "0"), 2, "error: "),
         (
+            ("family_report.py", "--n", "5..3"),
+            2,
+            "error: empty range '5..3'",
+        ),
+        (("family_report.py", "--n", "x"), 2, "error: bad range 'x'"),
+        (
             ("family_report.py", "--family", "cycle", "--n", "4",
              "--max-edges", "3"),
             3,

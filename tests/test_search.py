@@ -723,6 +723,28 @@ class TestLimits:
             best_index(family("cycle:10"), Mode.BLEND, limits=budget)
         assert listed == []
 
+    def test_time_budget_covers_bound_pass(self, monkeypatch):
+        # the listing never reads the clock here, so the deadline passes
+        # at the third reading: the first sets it, the second comes with
+        # the tick after the listing, the third after 256 of the 1022
+        # bounds of cycle:10; BRUSH does no search after the bound pass
+        readings = iter([0.0, 0.0])
+        monkeypatch.setattr(
+            search,
+            "time",
+            SimpleNamespace(monotonic=lambda: next(readings, 1e9)),
+        )
+        real = search.collect_acyclic_orientation_bits
+        monkeypatch.setattr(
+            search,
+            "collect_acyclic_orientation_bits",
+            lambda graph, check=None: real(graph),
+        )
+        budget = SearchLimits(max_edges=30, time_budget=1.0)
+        with pytest.raises(LimitError) as raised:
+            best_index(family("cycle:10"), Mode.BRUSH, limits=budget)
+        assert any(e.name == "_lower_bounds" for e in raised.traceback)
+
     @pytest.mark.parametrize("limit", [0, -1])
     def test_edge_limit_must_be_positive(self, limit):
         with pytest.raises(ValueError, match="positive integer"):
