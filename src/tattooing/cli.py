@@ -14,6 +14,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -98,12 +99,12 @@ def _parse_allocation(text: str, policy: Policy) -> AllocationPlan:
 
 
 def _load_graph(args) -> tuple[Graph, str | None]:
-    if getattr(args, "family", None) and getattr(args, "input", None):
+    if args.family and args.input:
         raise InputError("give either --family or --input, not both")
     try:
-        if getattr(args, "family", None):
+        if args.family:
             return build_family(parse_family_spec(args.family)), args.family
-        if getattr(args, "input", None):
+        if args.input:
             with open(args.input, encoding="utf-8") as handle:
                 return parse_edge_list(handle.read()), None
     except OSError as exc:
@@ -116,7 +117,7 @@ def _load_graph(args) -> tuple[Graph, str | None]:
 def _limits(args) -> SearchLimits:
     try:
         base = SearchLimits()
-        if getattr(args, "max_edges", None) is not None:
+        if args.max_edges is not None:
             base = dataclasses.replace(base, max_edges=args.max_edges)
     except ValueError as exc:  # a malformed TATTOO_* variable or --max-edges
         raise InputError(str(exc)) from exc
@@ -192,6 +193,25 @@ def cmd_compute(args) -> int:
     if args.allocate is not None and args.quantity != "ratio-set":
         raise InputError("--allocate applies only to --quantity ratio-set")
     if args.replay:
+        ignored = [
+            flag
+            for flag, given in (
+                ("--family", args.family is not None),
+                ("--input", args.input is not None),
+                ("--quantity", args.quantity is not None),
+                ("--mode", args.mode is not None),
+                ("--orientation", args.orientation is not None),
+                ("--max-edges", args.max_edges is not None),
+                ("--policy", args.policy != Policy.SMALLEST.value),
+                ("--workers", args.workers != 1),
+            )
+            if given
+        ]
+        if ignored:
+            raise InputError(
+                "--replay takes the graph and settings from the document; "
+                f"drop {', '.join(ignored)}"
+            )
         return _replay_check(args.replay)
     if args.quantity is None:
         raise InputError("--quantity is required (unless --replay is given)")
@@ -532,88 +552,85 @@ def _vertex_pair(k: int) -> tuple[int, int]:
     return k - v * (v - 1) // 2, v
 
 
-def _sweep_instances(args) -> list[tuple[str, str, Graph | None, str]]:
-    """(family, params, graph, build_error) per requested instance."""
-    name = args.family
-    out: list[tuple[str, str, Graph | None, str]] = []
+# the flags that fill each family's spec body (``4,3`` in ``joost:4,3``),
+# slot by slot, and what each holds: a RANGE to walk, a SPEC taken whole,
+# or (None) a value with a default
+_SWEEP_SLOTS = {
+    **dict.fromkeys(("cycle", "path", "star", "wheel"), {"n": "RANGE"}),
+    "friendship": {"q": None, "n": "RANGE"},
+    "joost": {"n": "RANGE", "k": "RANGE"},
+    "genfriendship": {"blocks": "SPEC"},
+}
+_COLUMNS = (
+    "family", "params", "vertices", "edges", "br", "btau", "tau",
+    "labelsum", "index", "runtime_ms", "status",
+)
 
-    def add(spec: str, params: str) -> None:
+
+def _sweep_instances(args) -> list[tuple[str, Graph | None, str]]:
+    """(params, graph, build_error) per requested instance; the params of
+    a family instance are the body of its spec."""
+    if args.family == "random":
+        return _random_instances(args)
+    slots = _SWEEP_SLOTS.get(args.family)
+    if slots is None:
+        raise InputError(f"unknown sweep family {args.family!r}")
+    given = vars(args)
+    for flag, holds in slots.items():
+        if given[flag] is None or holds == "SPEC" and not given[flag]:
+            raise InputError(f"{args.family} sweeps need --{flag} {holds}")
+    ranges = [
+        _parse_range(given[flag]) if holds == "RANGE" else [given[flag]]
+        for flag, holds in slots.items()
+    ]
+    out = []
+    for combo in itertools.product(*ranges):
+        body = ",".join(map(str, combo))
         try:
-            out.append((name, params, _family(spec), ""))
+            out.append((body, _family(f"{args.family}:{body}"), ""))
         except ValueError as exc:
-            out.append((name, params, None, str(exc)))
-
-    if name in ("cycle", "path", "star", "wheel"):
-        for n in _parse_range(args.n):
-            add(f"{name}:{n}", str(n))
-    elif name == "friendship":
-        for n in _parse_range(args.n):
-            add(f"friendship:{args.q},{n}", f"{args.q},{n}")
-    elif name == "joost":
-        if args.k is None:
-            raise InputError("joost sweeps need --k RANGE")
-        for n in _parse_range(args.n):
-            for k in _parse_range(args.k):
-                add(f"joost:{n},{k}", f"{n},{k}")
-    elif name == "genfriendship":
-        if not args.blocks:
-            raise InputError("genfriendship sweeps need --blocks SPEC")
-        add(f"genfriendship:{args.blocks}", args.blocks)
-    elif name == "random":
-        n, m = args.vertices, args.edges
-        if n is None or m is None:
-            raise InputError(
-                "random sweeps need --vertices N and --edges M"
-            )
-        if args.count < 1:
-            raise InputError("--count must be at least 1")
-        if n < 2 or not n - 1 <= m <= n * (n - 1) // 2:
-            raise InputError(
-                "a connected graph on --vertices N >= 2 needs "
-                "N-1 <= --edges <= N(N-1)/2"
-            )
-        rng = random.Random(args.seed)
-        produced = 0
-        attempts = 0
-        while produced < args.count and attempts < 1000 * args.count:
-            attempts += 1
-            picks = rng.sample(range(n * (n - 1) // 2), m)
-            try:
-                graph = Graph(n, tuple(map(_vertex_pair, picks)))
-            except DisconnectedGraphError:
-                continue
-            out.append(
-                (name, f"{n},{m}#{produced}", graph, "")
-            )
-            produced += 1
-        if produced < args.count:
-            raise InputError(
-                "could not sample enough connected graphs; "
-                "raise --edges or lower --vertices"
-            )
-    else:
-        raise InputError(f"unknown sweep family {name!r}")
+            out.append((body, None, str(exc)))
     return out
 
 
-def _sweep_row(payload):
-    family, params, graph, error, mode, policy, limits = payload
-    row = {
-        "family": family,
-        "params": params,
-        "vertices": graph.n if graph else "",
-        "edges": graph.m if graph else "",
-        "br": "",
-        "btau": "",
-        "tau": "",
-        "labelsum": "",
-        "index": "",
-        "runtime_ms": "",
-        "status": "",
-    }
+def _random_instances(args) -> list[tuple[str, Graph, str]]:
+    n, m = args.vertices, args.edges
+    if n is None or m is None:
+        raise InputError("random sweeps need --vertices N and --edges M")
+    if args.count < 1:
+        raise InputError("--count must be at least 1")
+    if n < 2 or not n - 1 <= m <= n * (n - 1) // 2:
+        raise InputError(
+            "a connected graph on --vertices N >= 2 needs "
+            "N-1 <= --edges <= N(N-1)/2"
+        )
+    rng = random.Random(args.seed)
+    out: list[tuple[str, Graph, str]] = []
+    attempts = 0
+    while len(out) < args.count and attempts < 1000 * args.count:
+        attempts += 1
+        picks = rng.sample(range(n * (n - 1) // 2), m)
+        try:
+            graph = Graph(n, tuple(map(_vertex_pair, picks)))
+        except DisconnectedGraphError:
+            continue
+        out.append((f"{n},{m}#{len(out)}", graph, ""))
+    if len(out) < args.count:
+        raise InputError(
+            "could not sample enough connected graphs; "
+            "raise --edges or lower --vertices"
+        )
+    return out
+
+
+def _sweep_row(family, mode, policy, limits, instance) -> dict:
+    params, graph, error = instance
+    row = dict.fromkeys(_COLUMNS, "")
+    row.update(family=family, params=params)
     if graph is None:
         row["status"] = f"refused: {error}"
         return row
+    row.update(vertices=graph.n, edges=graph.m)
     started = time.monotonic()
     try:
         # the chosen mode is one of the three cost modes
@@ -632,28 +649,17 @@ def _sweep_row(payload):
 
 def cmd_sweep(args) -> int:
     instances = _sweep_instances(args)
-    mode = Mode(args.mode) if args.mode else Mode.BLEND
-    policy = Policy(args.policy)
-    limits = _limits(args)
-    payloads = [
-        (family, params, graph, error, mode, policy, limits)
-        for family, params, graph, error in instances
-    ]
+    row_of = functools.partial(
+        _sweep_row,
+        args.family,
+        Mode(args.mode) if args.mode else Mode.BLEND,
+        Policy(args.policy),
+        _limits(args),
+    )
     workers = _workers(args)
     columns = [
-        "family",
-        "params",
-        "vertices",
-        "edges",
-        "br",
-        "btau",
-        "tau",
-        "labelsum",
-        "index",
+        c for c in _COLUMNS if not (args.no_timing and c == "runtime_ms")
     ]
-    if not args.no_timing:
-        columns.append("runtime_ms")
-    columns.append("status")
 
     # open the CSV first, so that a path it cannot write costs no search
     try:
@@ -661,17 +667,16 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot write {args.csv}: {exc}") from exc
     with handle or contextlib.nullcontext(sys.stdout) as out:
-        if workers > 1 and len(payloads) > 1:
+        if workers > 1 and len(instances) > 1:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
-                rows = pool.map(_sweep_row, payloads)
+                rows = pool.map(row_of, instances)
         else:
-            rows = [_sweep_row(p) for p in payloads]
+            rows = [row_of(i) for i in instances]
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([row[c] for c in columns])
-    ok = [r for r in rows if r["status"] == "ok"]
-    return 0 if ok else 1
+    return 0 if any(row["status"] == "ok" for row in rows) else 1
 
 
 # ---- argument surface ----
@@ -685,105 +690,87 @@ def _build_parser() -> argparse.ArgumentParser:
             "graphs."
         ),
     )
+    # the flags several subcommands share, each declared once
+    limited = argparse.ArgumentParser(add_help=False)
+    limited.add_argument("--max-edges", type=int)
+    searching = argparse.ArgumentParser(add_help=False, parents=[limited])
+    searching.add_argument("--mode", choices=[m.value for m in Mode])
+    searching.add_argument(
+        "--policy",
+        choices=[p.value for p in Policy],
+        default=Policy.SMALLEST.value,
+    )
+    searching.add_argument("--workers", type=_worker_count, default=1)
+    searching.add_argument(
+        "--no-timing",
+        action="store_true",
+        help="omit timings for byte-stable output",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser(
-        "compute", help="one invariant of one graph, as JSON"
+        "compute",
+        parents=[searching],
+        help="one invariant of one graph, as JSON",
     )
     compute.add_argument("--input", help="edge-list file; one 'u v' per line")
     compute.add_argument(
         "--family", help="family spec such as cycle:7 or friendship:3,6"
     )
     compute.add_argument(
-        "--mode", choices=[m.value for m in Mode], default=None
-    )
-    compute.add_argument(
-        "--policy",
-        choices=[p.value for p in Policy],
-        default=Policy.SMALLEST.value,
-    )
-    compute.add_argument(
-        "--quantity",
-        choices=[q.value for q in Quantity] + ["ratio-set"],
-        default=None,
+        "--quantity", choices=[q.value for q in Quantity] + ["ratio-set"]
     )
     compute.add_argument(
         "--orientation",
         type=int,
-        default=None,
         help="restrict to one orientation (bit i flips edge i)",
     )
     compute.add_argument(
-        "--allocate",
-        default=None,
-        help="initial allocation v:k[,v:k...] for ratio-set",
-    )
-    compute.add_argument("--max-edges", type=int, default=None)
-    compute.add_argument("--workers", type=_worker_count, default=1)
-    compute.add_argument(
-        "--no-timing",
-        action="store_true",
-        help="omit elapsed_ms for byte-stable output",
+        "--allocate", help="initial allocation v:k[,v:k...] for ratio-set"
     )
     compute.add_argument(
         "--replay",
-        default=None,
         metavar="FILE",
         help="re-run a saved document's witness and compare values",
     )
     compute.set_defaults(func=cmd_compute)
 
     verify = sub.add_parser(
-        "verify", help="run a verification suite with PASS/FAIL rows"
+        "verify",
+        parents=[limited],
+        help="run a verification suite with PASS/FAIL rows",
     )
     verify.add_argument(
         "--suite",
         required=True,
         help="paper-anchors, closed-forms, or oracle",
     )
-    verify.add_argument("--max-edges", type=int, default=None)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser(
-        "sweep", help="tabulate invariants over a family range, as CSV"
+        "sweep",
+        parents=[searching],
+        help="tabulate invariants over a family range, as CSV",
     )
     sweep.add_argument("--family", required=True)
-    sweep.add_argument("--n", default=None, help="range N or A..B")
-    sweep.add_argument("--k", default=None, help="range for the second slot")
+    sweep.add_argument("--n", help="range N or A..B")
+    sweep.add_argument("--k", help="range for the second slot")
     sweep.add_argument(
         "--q", type=int, default=3, help="cycle length for friendship sweeps"
     )
-    sweep.add_argument("--blocks", default=None)
-    sweep.add_argument("--vertices", type=int, default=None)
-    sweep.add_argument("--edges", type=int, default=None)
+    sweep.add_argument("--blocks")
+    sweep.add_argument("--vertices", type=int)
+    sweep.add_argument("--edges", type=int)
     sweep.add_argument("--count", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument(
-        "--mode", choices=[m.value for m in Mode], default=None
-    )
-    sweep.add_argument(
-        "--policy",
-        choices=[p.value for p in Policy],
-        default=Policy.SMALLEST.value,
-    )
-    sweep.add_argument("--max-edges", type=int, default=None)
-    sweep.add_argument("--workers", type=_worker_count, default=1)
-    sweep.add_argument("--csv", default=None, metavar="FILE")
-    sweep.add_argument("--no-timing", action="store_true")
+    sweep.add_argument("--csv", metavar="FILE")
     sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "sweep" and args.family not in (
-        "genfriendship",
-        "random",
-    ):
-        if args.n is None:
-            parser.error("sweep needs --n RANGE for this family")
+    args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # short output meets a closed pipe only here

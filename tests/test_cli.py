@@ -345,6 +345,56 @@ class TestReplay:
         code, _, _ = run(capsys, "compute", "--replay", str(path))
         assert code == expect
 
+    @pytest.mark.parametrize(
+        "extra,named",
+        [
+            (
+                ("--family", "star:9", "--quantity", "index", "--orientation",
+                 "3", "--max-edges", "2", "--policy", "fresh", "--workers",
+                 "2"),
+                "--family, --quantity, --orientation, --max-edges, --policy, "
+                "--workers",
+            ),
+            (("--family", "cycle:5"), "--family"),
+            (("--input", "edges.txt"), "--input"),
+            (("--quantity", "tau"), "--quantity"),
+            (("--mode", "blend"), "--mode"),
+            (("--orientation", "0"), "--orientation"),
+            (("--max-edges", "22"), "--max-edges"),
+            (("--policy", "fresh"), "--policy"),
+            (("--workers", "2"), "--workers"),
+        ],
+        ids=["example", "family", "input", "quantity", "mode", "orientation",
+             "max-edges", "policy", "workers"],
+    )
+    def test_flags_it_would_ignore_exit_2(
+        self, capsys, monkeypatch, tmp_path, extra, named
+    ):
+        path = tmp_path / "c5.json"
+        path.write_text(json.dumps(CYCLE5_DOC))
+        monkeypatch.setattr(
+            cli, "replay", lambda *args: pytest.fail("a witness was replayed")
+        )
+        code, out, err = run(capsys, "compute", "--replay", str(path), *extra)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: --replay takes the graph and settings from the "
+            f"document; drop {named}\n"
+        )
+
+    def test_default_settings_and_no_timing_still_replay(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "c5.json"
+        path.write_text(json.dumps(CYCLE5_DOC))
+        code, out, _ = run(
+            capsys, "compute", "--replay", str(path), "--policy", "smallest",
+            "--workers", "1", "--no-timing",
+        )
+        assert code == 0
+        assert out == "replay OK: labelsum = 6\n"
+
     def test_document_without_witness_exits_2(self, capsys, tmp_path):
         path = self.save(
             capsys,
@@ -500,6 +550,74 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "imaginary")
         assert code == 2
+
+
+def _options(parser) -> dict[str, tuple]:
+    """Each option of ``parser``: its default, choices, type, and whether
+    it is required."""
+    return {
+        ", ".join(action.option_strings): (
+            action.default,
+            action.choices,
+            getattr(action.type, "__name__", None),
+            action.required,
+        )
+        for action in parser._actions
+        if action.option_strings
+    }
+
+
+class TestOptionSurface:
+    HELP = {"-h, --help": ("==SUPPRESS==", None, None, False)}
+    SEARCH = {
+        "--mode": (None, ["brush", "fsg", "blend"], None, False),
+        "--policy": ("smallest", ["smallest", "fresh"], None, False),
+        "--max-edges": (None, None, "int", False),
+        "--workers": (1, None, "_worker_count", False),
+        "--no-timing": (False, None, None, False),
+    }
+
+    def test_each_subcommand_keeps_its_options(self):
+        quantities = ["br", "btau", "tau", "labelsum", "index", "ratio",
+                      "ratio-set"]
+        expected = {
+            "compute": {
+                **self.HELP,
+                **self.SEARCH,
+                "--input": (None, None, None, False),
+                "--family": (None, None, None, False),
+                "--quantity": (None, quantities, None, False),
+                "--orientation": (None, None, "int", False),
+                "--allocate": (None, None, None, False),
+                "--replay": (None, None, None, False),
+            },
+            "verify": {
+                **self.HELP,
+                "--suite": (None, None, None, True),
+                "--max-edges": (None, None, "int", False),
+                "--json": (False, None, None, False),
+            },
+            "sweep": {
+                **self.HELP,
+                **self.SEARCH,
+                "--family": (None, None, None, True),
+                "--n": (None, None, None, False),
+                "--k": (None, None, None, False),
+                "--q": (3, None, "int", False),
+                "--blocks": (None, None, None, False),
+                "--vertices": (None, None, "int", False),
+                "--edges": (None, None, "int", False),
+                "--count": (1, None, "int", False),
+                "--seed": (0, None, "int", False),
+                "--csv": (None, None, None, False),
+            },
+        }
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if not a.option_strings]
+        assert {
+            name: _options(command) for name, command in sub.choices.items()
+        } == expected
+        assert _options(parser) == self.HELP
 
 
 def rows_of(text: str) -> list[dict]:
@@ -661,10 +779,34 @@ class TestSweep:
         assert err.startswith("error: ")
 
     def test_missing_range_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as caught:
-            main(["sweep", "--family", "cycle"])
-        assert caught.value.code == 2
-        capsys.readouterr()
+        code, out, err = run(capsys, "sweep", "--family", "cycle")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cycle sweeps need --n RANGE\n"
+
+    @pytest.mark.parametrize(
+        "argv,lacking",
+        [
+            (("friendship", "--q", "4"), "friendship sweeps need --n RANGE"),
+            (("joost", "--k", "x"), "joost sweeps need --n RANGE"),
+            (("joost", "--n", "x"), "joost sweeps need --k RANGE"),
+            (("genfriendship",), "genfriendship sweeps need --blocks SPEC"),
+            (
+                ("genfriendship", "--blocks", ""),
+                "genfriendship sweeps need --blocks SPEC",
+            ),
+            (("moebius",), "unknown sweep family 'moebius'"),
+        ],
+        ids=["friendship-n", "joost-n", "joost-k", "genfriendship",
+             "genfriendship-empty", "unknown"],
+    )
+    def test_missing_flag_is_named_before_any_range_is_read(
+        self, capsys, argv, lacking
+    ):
+        code, out, err = run(capsys, "sweep", "--family", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {lacking}\n"
 
     def test_parallel_rows_byte_identical(self, capsys):
         argv = (
