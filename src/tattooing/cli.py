@@ -554,13 +554,16 @@ def _vertex_pair(k: int) -> tuple[int, int]:
 
 # the flags that fill each family's spec body (``4,3`` in ``joost:4,3``),
 # slot by slot, and what each holds: a RANGE to walk, a SPEC taken whole,
-# or (None) a value with a default
+# or the default of a single value
 _SWEEP_SLOTS = {
     **dict.fromkeys(("cycle", "path", "star", "wheel"), {"n": "RANGE"}),
-    "friendship": {"q": None, "n": "RANGE"},
+    "friendship": {"q": 3, "n": "RANGE"},
     "joost": {"n": "RANGE", "k": "RANGE"},
     "genfriendship": {"blocks": "SPEC"},
 }
+_RANDOM_FLAGS = ("vertices", "edges", "count", "seed")
+# every flag that only some sweep families read
+_FAMILY_FLAGS = ("n", "k", "q", "blocks", *_RANDOM_FLAGS)
 _COLUMNS = (
     "family", "params", "vertices", "edges", "br", "btau", "tau",
     "labelsum", "index", "runtime_ms", "status",
@@ -569,19 +572,40 @@ _COLUMNS = (
 
 def _sweep_instances(args) -> list[tuple[str, Graph | None, str]]:
     """(params, graph, build_error) per requested instance; the params of
-    a family instance are the body of its spec."""
-    if args.family == "random":
-        return _random_instances(args)
-    slots = _SWEEP_SLOTS.get(args.family)
-    if slots is None:
+    a family instance are the body of its spec.
+
+    A family-specific flag given to a family that does not read it is
+    refused, as is a missing one that it needs."""
+    reads = (
+        _RANDOM_FLAGS
+        if args.family == "random"
+        else _SWEEP_SLOTS.get(args.family)
+    )
+    if reads is None:
         raise InputError(f"unknown sweep family {args.family!r}")
     given = vars(args)
-    for flag, holds in slots.items():
-        if given[flag] is None or holds == "SPEC" and not given[flag]:
+    ignored = [
+        f"--{flag}"
+        for flag in _FAMILY_FLAGS
+        if flag not in reads and given[flag] is not None
+    ]
+    if ignored:
+        raise InputError(
+            f"{args.family} sweeps do not read {', '.join(ignored)}"
+        )
+    if args.family == "random":
+        return _random_instances(args)
+    for flag, holds in reads.items():
+        if (
+            holds == "RANGE" and given[flag] is None
+            or holds == "SPEC" and not given[flag]
+        ):
             raise InputError(f"{args.family} sweeps need --{flag} {holds}")
     ranges = [
-        _parse_range(given[flag]) if holds == "RANGE" else [given[flag]]
-        for flag, holds in slots.items()
+        _parse_range(given[flag])
+        if holds == "RANGE"
+        else [holds if given[flag] is None else given[flag]]
+        for flag, holds in reads.items()
     ]
     out = []
     for combo in itertools.product(*ranges):
@@ -597,17 +621,19 @@ def _random_instances(args) -> list[tuple[str, Graph, str]]:
     n, m = args.vertices, args.edges
     if n is None or m is None:
         raise InputError("random sweeps need --vertices N and --edges M")
-    if args.count < 1:
+    count = 1 if args.count is None else args.count
+    seed = 0 if args.seed is None else args.seed
+    if count < 1:
         raise InputError("--count must be at least 1")
     if n < 2 or not n - 1 <= m <= n * (n - 1) // 2:
         raise InputError(
             "a connected graph on --vertices N >= 2 needs "
             "N-1 <= --edges <= N(N-1)/2"
         )
-    rng = random.Random(args.seed)
+    rng = random.Random(seed)
     out: list[tuple[str, Graph, str]] = []
     attempts = 0
-    while len(out) < args.count and attempts < 1000 * args.count:
+    while len(out) < count and attempts < 1000 * count:
         attempts += 1
         picks = rng.sample(range(n * (n - 1) // 2), m)
         try:
@@ -615,7 +641,7 @@ def _random_instances(args) -> list[tuple[str, Graph, str]]:
         except DisconnectedGraphError:
             continue
         out.append((f"{n},{m}#{len(out)}", graph, ""))
-    if len(out) < args.count:
+    if len(out) < count:
         raise InputError(
             "could not sample enough connected graphs; "
             "raise --edges or lower --vertices"
@@ -757,13 +783,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", help="range N or A..B")
     sweep.add_argument("--k", help="range for the second slot")
     sweep.add_argument(
-        "--q", type=int, default=3, help="cycle length for friendship sweeps"
+        "--q", type=int, help="cycle length for friendship sweeps (default 3)"
     )
     sweep.add_argument("--blocks")
     sweep.add_argument("--vertices", type=int)
     sweep.add_argument("--edges", type=int)
-    sweep.add_argument("--count", type=int, default=1)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--count", type=int, help="default 1")
+    sweep.add_argument("--seed", type=int, help="default 0")
     sweep.add_argument("--csv", metavar="FILE")
     sweep.set_defaults(func=cmd_sweep)
     return parser

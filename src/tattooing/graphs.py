@@ -3,16 +3,21 @@
 An orientation is an integer code: bit ``i`` set flips edge ``i`` to
 high-to-low.  :func:`collect_acyclic_orientation_bits` lists the codes
 of the acyclic ones in ascending order, by a recursive scan over
-per-vertex reachability masks.
+per-vertex reachability masks, optionally only those under a
+per-vertex cost bound; :func:`count_acyclic_orientations` counts them
+all with the same scan, memoised.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from itertools import accumulate
+from math import inf
+from operator import or_
 
 
 class EdgeListError(ValueError):
@@ -241,9 +246,14 @@ def orient(graph: Graph, code: int) -> Digraph:
 
 
 def collect_acyclic_orientation_bits(
-    graph: Graph, *, check: Callable[[], None] | None = None
+    graph: Graph,
+    *,
+    check: Callable[[], None] | None = None,
+    bounds: Sequence[Sequence[int]] | None = None,
+    limit: int | None = None,
+    beyond: list[int] | None = None,
 ) -> array:
-    """Codes of all acyclic orientations, in ascending numeric order.
+    """Codes of the acyclic orientations, in ascending numeric order.
 
     A recursive scan assigns edge ``m-1`` first, trying the unflipped
     direction before the flipped one, so codes come out strictly
@@ -251,31 +261,126 @@ def collect_acyclic_orientation_bits(
     ``w`` reaches; an arc ``t -> h`` is refused when ``h`` already
     reaches ``t``, and otherwise the child scan gets a copy in which
     every vertex reaching ``t`` also reaches all that ``h`` reaches.
-    ``check``, if given, is called after every 256th code and may raise
-    to abandon the listing, as a search's deadline does.
-    """
-    out = array("Q")
-    edges = graph.edges
 
-    def scan(e: int, bits: int, reach: list[int]) -> None:
+    ``bounds[v][out]``, nondecreasing in ``out``, is vertex ``v``'s
+    share of an orientation's bound when ``out`` of its edges leave it;
+    it defaults to zero.  With a ``limit``, only the codes whose bound
+    is at most ``limit`` are listed.  Every undecided edge can still
+    leave either end, so the sum of the shares at the decided
+    out-degrees bounds every completion of a partial orientation, and
+    the scan cuts a branch once that sum reaches the least bound above
+    ``limit`` of any leaf seen so far; it lists nothing in a branch
+    above ``limit``, but goes into it while it can still lower that
+    least bound.  ``beyond``, if given, receives the least bound above
+    ``limit`` of any acyclic orientation, when there is one.
+
+    ``check``, if given, is called at the first scan node and every
+    256th after it, and may raise to abandon the listing, as a search's
+    deadline does.
+    """
+    n, edges = graph.n, graph.edges
+    if bounds is None:
+        bounds = [[0] * (graph.degree(v) + 1) for v in range(n)]
+    # steps[v][out]: what one more out-arc at v adds to the bound
+    steps = [[b - a for a, b in zip(share, share[1:])] for share in bounds]
+    # per edge, its two arcs as (tail, head, flip bit, the tail's steps)
+    arcs = [
+        ((u, v, 0, steps[u]), (v, u, 1 << e, steps[v]))
+        for e, (u, v) in enumerate(edges)
+    ]
+    top = inf if limit is None else limit
+    # the least bound over the limit found so far: every branch at least
+    # this high is cut, and no listed code is
+    above = inf
+    outdeg = [0] * n
+    out = array("Q")
+    nodes = 0
+
+    def scan(e: int, bits: int, reach: list[int], bound: int) -> None:
+        """Orient edge ``e`` both ways, then edges ``e - 1 .. 0``."""
+        nonlocal above, nodes
+        nodes += 1
+        if check is not None and nodes % 256 == 1:
+            check()
+        for t, h, flip, step in arcs[e]:
+            rh = reach[h]
+            if (rh >> t) & 1:
+                continue
+            ot = outdeg[t]
+            grown = bound + step[ot]
+            if grown >= above:
+                continue
+            if e:
+                outdeg[t] = ot + 1
+                scan(
+                    e - 1,
+                    bits | flip,
+                    [rw | rh if (rw >> t) & 1 else rw for rw in reach],
+                    grown,
+                )
+                outdeg[t] = ot
+            elif grown <= top:
+                out.append(bits | flip)
+            else:
+                above = grown
+
+    root = sum(share[0] for share in bounds)
+    if edges:
+        scan(graph.m - 1, 0, [1 << x for x in range(n)], root)
+    elif root <= top:
+        out.append(0)
+    else:
+        above = root
+    if beyond is not None and above < inf:
+        beyond.append(above)
+    return out
+
+
+def count_acyclic_orientations(
+    graph: Graph, *, check: Callable[[], None] | None = None
+) -> int:
+    """Number of acyclic orientations, a(G), without listing them.
+
+    The scan of :func:`collect_acyclic_orientation_bits`, memoised:
+    which ways the edges ``0 .. e`` still undecided can be oriented
+    depends only on ``e`` and on which of their endpoints reach which,
+    so the count is cached on ``e`` and the reach masks of those
+    endpoints, each restricted to them.  ``check`` is called as there,
+    at the first scan node and every 256th after it.
+    """
+    edges = graph.edges
+    # live[e]: the endpoints of edges 0 .. e, as a mask and as a tuple
+    live = list(accumulate((1 << u | 1 << v for u, v in edges), or_))
+    members = [
+        tuple(x for x in range(graph.n) if (mask >> x) & 1) for mask in live
+    ]
+    memo: dict[tuple[int, ...], int] = {}
+    nodes = 0
+
+    def count(e: int, reach: list[int]) -> int:
+        nonlocal nodes
         if e < 0:
-            out.append(bits)
-            if check is not None and len(out) % 256 == 0:
-                check()
-            return
+            return 1
+        mask = live[e]
+        key = (e, *(reach[x] & mask for x in members[e]))
+        got = memo.get(key)
+        if got is not None:
+            return got
+        nodes += 1
+        if check is not None and nodes % 256 == 1:
+            check()
         u, v = edges[e]
-        for t, h, flip in ((u, v, 0), (v, u, 1 << e)):
+        total = 0
+        for t, h in ((u, v), (v, u)):
             rh = reach[h]
             if not (rh >> t) & 1:
-                grown = (
-                    [rw | rh if (rw >> t) & 1 else rw for rw in reach]
-                    if e
-                    else reach  # a leaf reads no masks
+                total += count(
+                    e - 1, [rw | rh if (rw >> t) & 1 else rw for rw in reach]
                 )
-                scan(e - 1, bits | flip, grown)
+        memo[key] = total
+        return total
 
-    scan(graph.m - 1, 0, [1 << x for x in range(graph.n)])
-    return out
+    return count(graph.m - 1, [1 << x for x in range(graph.n)])
 
 
 class FamilyKind(Enum):

@@ -1,16 +1,25 @@
 """Exact minimisation of cost and label sum over acyclic orientations.
 
 The search finds the lexicographic (cost, label sum) optimum in one
-deepening loop.  Every orientation gets an admissible lower bound
+deepening loop.  Every orientation has an admissible lower bound
 ``sum_v max(0, need(outdeg v) - indeg v)`` on its cost (number of
-primaries, or tokens), updated edge by edge from one orientation code
-to the next.  A target cost ``c`` then rises from the least bound; at
-each ``c`` the orientations whose bound does not exceed it are searched
-exhaustively, depth first with admissible bounds in both coordinates,
-for the least label sum of a run costing at most ``c``.  The first
-``c`` with any completion is the minimum cost, and the best run found
-there is the answer.  BRUSH needs no search: a token run always meets
-the bound, and every token weighs one.
+primaries, or tokens).  A target cost ``c`` rises from the least bound;
+at each ``c`` the orientations whose bound does not exceed it are
+searched exhaustively, depth first with admissible bounds in both
+coordinates, for the least label sum of a run costing at most ``c``.
+The first ``c`` with any completion is the minimum cost, and the best
+run found there is the answer.  BRUSH needs no search: a token run
+always meets the bound, and every token weighs one.
+
+The orientations of a level are listed by a scan that cuts a branch
+once the bound of its decided edges passes ``c``
+(:func:`~tattooing.graphs.collect_acyclic_orientation_bits`), so the
+orientations above the final cost are never listed.  Each listing also
+gives the least bound it left out: the loop skips levels that would be
+empty and reuses a listing for as long as no further orientation comes
+under the target.  The number of orientations the report gives is
+counted without listing them
+(:func:`~tattooing.graphs.count_acyclic_orientations`).
 
 A vertex fires once, as soon as every in-arc is tattooed, so each run
 fires the vertices of its orientation in a topological order.  The
@@ -68,11 +77,12 @@ import multiprocessing
 import os
 import time
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, combinations, islice, permutations
+from itertools import accumulate, combinations, count, islice, permutations
+from math import inf
 
 import networkx as nx
 from networkx.algorithms.isomorphism import DiGraphMatcher
@@ -98,6 +108,7 @@ from tattooing.graphs import (
     Digraph,
     Graph,
     collect_acyclic_orientation_bits,
+    count_acyclic_orientations,
     orient,
 )
 
@@ -418,43 +429,23 @@ class _Searcher:
         self.policy = policy
         self.limits = limits
         self.clock = _Clock(limits.time_budget)
-        self.prefix = _cheap_prefix(
-            mode, max(len(a) for a in graph.adjacency())
-        )
+        adj = graph.adjacency()
+        self.prefix = _cheap_prefix(mode, max(len(a) for a in adj))
+        # bounds[v][out] = max(0, need(out) - indeg v), v's share of the
+        # cost bound when out of its edges leave it
+        self.bounds = [
+            [
+                max(0, required_primaries(out, mode) - len(a) + out)
+                for out in range(len(a) + 1)
+            ]
+            for a in adj
+        ]
         self._pools: dict = {}
         self._iso_buckets: dict[str, list[tuple[int, nx.DiGraph]]] = {}
         self._iso_rep: dict[int, int] = {}
         self._generators: list[tuple[tuple[tuple[int, ...], ...], int]] = []
         if graph.m == 0:
             raise ValueError("the process needs at least one edge")
-
-    # ---- cost bound, updated edge by edge ----
-    #
-    # f[v][out] = max(0, need(out) - indeg v) is v's share of the bound.
-    # Code 0 orients every edge low to high; setting bit i moves edge i's
-    # out-arc from its low end to its high end, and clearing it moves the
-    # arc back.  Ascending codes mostly differ in their low bits.
-
-    def _lower_bounds(self, codes: Sequence[int]) -> list[int]:
-        """Each code's bound, from the one before it in ``codes``."""
-        adj = self.graph.adjacency()
-        f = [[max(0, required_primaries(o, self.mode) - len(a) + o)
-              for o in range(len(a) + 1)] for a in adj]
-        moves = {1 << i: (e, e[::-1]) for i, e in enumerate(self.graph.edges)}
-        out = [sum(w > v for w in a) for v, a in enumerate(adj)]  # code 0
-        lb, prev, lbs = sum(fv[o] for fv, o in zip(f, out)), 0, []
-        for code in codes:
-            diff, prev = code ^ prev, code
-            while bit := diff & -diff:
-                diff ^= bit
-                u, v = moves[bit][not code & bit]
-                ou, ov = out[u], out[v]
-                lb += f[u][ou - 1] - f[u][ou] + f[v][ov + 1] - f[v][ov]
-                out[u], out[v] = ou - 1, ov + 1
-            lbs.append(lb)
-            if len(lbs) % 256 == 0:
-                self.clock.check()
-        return lbs
 
     def _rep_for(self, code: int) -> int:
         """Least code of this orientation's isomorphism class.
@@ -464,8 +455,9 @@ class _Searcher:
         per digraph isomorphism class needs searching.  Two orientations
         of G are isomorphic exactly when an automorphism of G maps one
         onto the other, so the classes are the orbits of Aut(G), and an
-        orbit shares the cost bound.  Codes arrive in ascending order,
-        so the first code seen of a class is its least.
+        orbit shares the cost bound.  So a whole orbit enters the
+        deepening loop at one level, whose codes arrive in ascending
+        order, and the first code seen of a class is its least.
 
         A code not yet labelled is placed exactly: buckets are keyed by
         a Weisfeiler-Lehman hash, and membership is settled by VF2.
@@ -557,38 +549,71 @@ class _Searcher:
     # ---- the deepening loop ----
 
     def run(self, workers: int = 1) -> IndexReport:
-        bits = collect_acyclic_orientation_bits(
-            self.graph, check=self.clock.check
-        )
-        self.clock.tick()
-        return self._solve(bits, workers)
+        total = count_acyclic_orientations(self.graph, check=self.clock.check)
+        return self._solve(self._levels(), total, workers)
 
     def run_fixed(self, code: int) -> IndexReport:
         """The same optimum restricted to one orientation."""
         # a lone orientation is its own class representative
         self._iso_rep[code] = code
-        return self._solve([code])
+        d = orient(self.graph, code)
+        bound = sum(
+            share[d.out_degree(v)] for v, share in enumerate(self.bounds)
+        )
+        return self._solve(((c, [code]) for c in count(bound)), 1)
 
-    def _solve(self, codes: Sequence[int], workers: int = 1) -> IndexReport:
-        """Least cost, then least label sum, over the orientations
-        ``codes`` (ascending), replayed once."""
-        lbs = self._lower_bounds(codes)
+    def _levels(self) -> Iterator[tuple[int, Sequence[int]]]:
+        """``(c, codes)`` for each target cost ``c`` from the least bound
+        up, ``codes`` being the orientations whose bound is at most
+        ``c``, ascending.
+
+        Each listing also gives the least bound of the codes it left
+        out, so a level that would list no more codes reuses the last
+        listing, and an empty one is skipped.
+        """
+        c = sum(share[0] for share in self.bounds)  # no edge decided
+        while True:
+            beyond: list[int] = []
+            codes = collect_acyclic_orientation_bits(
+                self.graph,
+                check=self.clock.check,
+                bounds=self.bounds,
+                limit=c,
+                beyond=beyond,
+            )
+            # the least bound of a code left out; a graph always has an
+            # acyclic orientation, so an empty listing leaves one out
+            nxt = beyond[0] if beyond else inf
+            if not codes:
+                c = nxt
+                continue
+            while c < nxt:
+                yield c, codes
+                c += 1
+
+    def _solve(
+        self,
+        levels: Iterator[tuple[int, Sequence[int]]],
+        total: int,
+        workers: int = 1,
+    ) -> IndexReport:
+        """Least cost, then least label sum, over the orientations of
+        ``levels`` (see :meth:`_levels`), replayed once; ``total`` is
+        the number of orientations the report says were searched."""
         if self.mode is Mode.BRUSH:
             # a token run always meets the bound, and tokens weigh one
-            at = lbs.index(min(lbs))
-            witness = self._brush_witness(codes[at])
-            out = self._finish(lbs[at], self.graph.m, witness)
-            return self._report(out, len(codes))
-        c = min(lbs)
+            c, codes = next(levels)
+            witness = self._brush_witness(codes[0])
+            out = self._finish(c, self.graph.m, witness)
+            return self._report(out, total)
         pool, size = None, 1
         try:
-            while True:
+            for c, codes in levels:
                 reps = []
-                for code, lb in zip(codes, lbs):
-                    if lb <= c:
-                        self.clock.tick()
-                        if self._rep_for(code) == code:
-                            reps.append(code)
+                for code in codes:
+                    self.clock.tick()
+                    if self._rep_for(code) == code:
+                        reps.append(code)
                 # levels only grow: a pool starts at the first level
                 # with two representatives and is replaced only by a
                 # level that can keep more workers busy, so no pool
@@ -601,7 +626,6 @@ class _Searcher:
                 best = self._search_level(c, reps, pool, size)
                 if best["S"] is not None:
                     break
-                c += 1
         finally:
             if pool is not None:
                 pool.terminate()
@@ -609,7 +633,7 @@ class _Searcher:
             best["code"], best["events"], best["plan"]
         )
         out = self._finish(c, best["S"], witness)
-        return self._report(out, len(codes))
+        return self._report(out, total)
 
     def _start_pool(self, size: int):
         """A pool of ``size`` workers, each of which builds one searcher

@@ -603,12 +603,12 @@ class TestOptionSurface:
                 "--family": (None, None, None, True),
                 "--n": (None, None, None, False),
                 "--k": (None, None, None, False),
-                "--q": (3, None, "int", False),
+                "--q": (None, None, "int", False),
                 "--blocks": (None, None, None, False),
                 "--vertices": (None, None, "int", False),
                 "--edges": (None, None, "int", False),
-                "--count": (1, None, "int", False),
-                "--seed": (0, None, "int", False),
+                "--count": (None, None, "int", False),
+                "--seed": (None, None, "int", False),
                 "--csv": (None, None, None, False),
             },
         }
@@ -807,6 +807,45 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err == f"error: {lacking}\n"
+
+    @pytest.mark.parametrize(
+        "argv,unread",
+        [
+            (
+                ("cycle", "--n", "3", "--k", "5", "--q", "9", "--blocks",
+                 "3x2", "--vertices", "4"),
+                "cycle sweeps do not read --k, --q, --blocks, --vertices",
+            ),
+            (("friendship", "--n", "2", "--k", "1"),
+             "friendship sweeps do not read --k"),
+            (("joost", "--n", "3", "--k", "2", "--q", "3"),
+             "joost sweeps do not read --q"),
+            (("genfriendship", "--blocks", "3x2", "--n", "3"),
+             "genfriendship sweeps do not read --n"),
+            (("wheel", "--n", "4", "--edges", "5", "--count", "1",
+              "--seed", "0"),
+             "wheel sweeps do not read --edges, --count, --seed"),
+            (("random", "--vertices", "4", "--edges", "4", "--n", "3",
+              "--q", "3"),
+             "random sweeps do not read --n, --q"),
+        ],
+        ids=["cycle", "friendship", "joost", "genfriendship", "wheel",
+             "random"],
+    )
+    def test_flags_the_family_does_not_read_exit_2(self, capsys, argv, unread):
+        code, out, err = run(capsys, "sweep", "--family", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {unread}\n"
+
+    def test_defaults_given_explicitly_change_nothing(self, capsys):
+        for plain, explicit in [
+            (("friendship", "--n", "2"), ("--q", "3")),
+            (("random", "--vertices", "5", "--edges", "6"),
+             ("--count", "1", "--seed", "0")),
+        ]:
+            argv = ("sweep", "--family", *plain, "--no-timing")
+            assert run(capsys, *argv) == run(capsys, *argv, *explicit)
 
     def test_parallel_rows_byte_identical(self, capsys):
         argv = (

@@ -17,6 +17,7 @@ from tattooing.graphs import (
     SelfLoopError,
     build_family,
     collect_acyclic_orientation_bits,
+    count_acyclic_orientations,
     orient,
     parse_edge_list,
     parse_family_spec,
@@ -280,3 +281,30 @@ class TestAcyclicEnumeration:
         # coexists with a fully-backward one, so 2*7^7 - 6^7 orientations
         g = family("joost:4,7")
         assert len(collect_acyclic_orientation_bits(g)) == 2 * 7**7 - 6**7
+
+
+class TestAcyclicCount:
+    """The memoised count against the listing, and on graphs too large
+    to list in a test."""
+
+    def test_matches_listing(self):
+        texts = [
+            "cycle:7", "path:5", "star:8", "wheel:6", "friendship:3,4",
+            "genfriendship:3x2+4x1", "joost:3,3", "joost:4,5",
+        ]
+        graphs = [Graph(1, ()), *connected_graph_corpus(6)]
+        for g in graphs + [family(t) for t in texts]:
+            assert count_acyclic_orientations(g) == len(
+                collect_acyclic_orientation_bits(g)
+            )
+
+    @pytest.mark.parametrize(
+        "text,count",
+        [
+            ("joost:4,7", 2 * 7**7 - 6**7),  # 1,367,150
+            ("joost:6,4", 1_037_042),
+            ("star:20", 2**20),
+        ],
+    )
+    def test_large_counts(self, text, count):
+        assert count_acyclic_orientations(family(text)) == count

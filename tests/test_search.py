@@ -524,7 +524,8 @@ class TestInvariantDispatch:
 
 
 class TestLowerBounds:
-    """The edge-by-edge bound against a direct count per orientation."""
+    """The listing pruned by the cost bound against the full listing
+    filtered by a direct count per orientation."""
 
     @staticmethod
     def direct(graph: Graph, code: int, mode: Mode) -> int:
@@ -539,18 +540,25 @@ class TestLowerBounds:
         )
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_matches_direct_count_in_any_order(self, mode):
+    def test_pruned_listing_matches_direct_bound(self, mode):
         graphs = [
             *connected_graph_corpus(5),
             *map(family, ("joost:3,3", "friendship:3,3", "wheel:5", "star:6")),
         ]
         for graph in graphs:
             searcher = search._Searcher(graph, mode, Policy.SMALLEST, NO_CAP)
+            bounds = searcher.bounds
             codes = collect_acyclic_orientation_bits(graph)
-            want = [self.direct(graph, code, mode) for code in codes]
-            assert searcher._lower_bounds(codes) == want
-            assert searcher._lower_bounds(codes[::-1]) == want[::-1]
-            assert [searcher._lower_bounds([c])[0] for c in codes] == want
+            want = {code: self.direct(graph, code, mode) for code in codes}
+            # from the bound of the empty orientation up to the largest
+            for c in range(sum(s[0] for s in bounds), max(want.values()) + 1):
+                beyond: list[int] = []
+                listed = collect_acyclic_orientation_bits(
+                    graph, bounds=bounds, limit=c, beyond=beyond
+                )
+                assert list(listed) == [x for x in codes if want[x] <= c]
+                rest = [b for b in want.values() if b > c]
+                assert beyond == ([min(rest)] if rest else [])
 
 
 class _ReferenceClasses:
@@ -593,11 +601,10 @@ class TestLearnedOrbits:
     def check(graph: Graph, mode: Mode) -> None:
         searcher = search._Searcher(graph, mode, Policy.SMALLEST, NO_CAP)
         reference = _ReferenceClasses(graph)
-        codes = collect_acyclic_orientation_bits(graph)
-        lbs = searcher._lower_bounds(codes)
         last = best_index(graph, mode, limits=NO_CAP).cost
-        for c in range(min(lbs), last + 1):
-            under = [code for code, lb in zip(codes, lbs) if lb <= c]
+        for c, under in searcher._levels():
+            if c > last:
+                break
             got = {code: searcher._rep_for(code) for code in under}
             assert got == {code: reference._rep_for(code) for code in under}
 
@@ -702,8 +709,8 @@ class TestLimits:
 
     def test_time_budget_covers_orientation_listing(self, monkeypatch):
         # the clock passes the deadline at its third reading: the first
-        # sets the deadline, the next come after 256 and 512 of the 1022
-        # acyclic orientations of cycle:10
+        # sets the deadline, the second comes at the first node of the
+        # count pass, the third at the first node of the first listing
         readings = iter([0.0, 0.0])
         monkeypatch.setattr(
             search,
@@ -723,27 +730,67 @@ class TestLimits:
             best_index(family("cycle:10"), Mode.BLEND, limits=budget)
         assert listed == []
 
-    def test_time_budget_covers_bound_pass(self, monkeypatch):
-        # the listing never reads the clock here, so the deadline passes
-        # at the third reading: the first sets it, the second comes with
-        # the tick after the listing, the third after 256 of the 1022
-        # bounds of cycle:10; BRUSH does no search after the bound pass
+    @staticmethod
+    def expire_at_third_reading(monkeypatch) -> None:
+        """The first reading sets the deadline, the second finds time
+        left, every later one finds it passed."""
         readings = iter([0.0, 0.0])
         monkeypatch.setattr(
             search,
             "time",
             SimpleNamespace(monotonic=lambda: next(readings, 1e9)),
         )
-        real = search.collect_acyclic_orientation_bits
-        monkeypatch.setattr(
-            search,
-            "collect_acyclic_orientation_bits",
-            lambda graph, check=None: real(graph),
-        )
+
+    def test_time_budget_covers_count_pass(self, monkeypatch):
+        # the count reads the clock at its first scan node and at its
+        # 257th, of the nearly 3,000 it takes on joost:4,6
+        self.expire_at_third_reading(monkeypatch)
+
+        def listing(*args, **kwargs):
+            raise AssertionError("listed before the count ended")
+
+        monkeypatch.setattr(search, "collect_acyclic_orientation_bits", listing)
         budget = SearchLimits(max_edges=30, time_budget=1.0)
         with pytest.raises(LimitError) as raised:
-            best_index(family("cycle:10"), Mode.BRUSH, limits=budget)
-        assert any(e.name == "_lower_bounds" for e in raised.traceback)
+            best_index(family("joost:4,6"), Mode.BLEND, limits=budget)
+        assert any(
+            e.name == "count_acyclic_orientations" for e in raised.traceback
+        )
+
+    def test_time_budget_covers_pruned_scan_that_lists_nothing(
+        self, monkeypatch
+    ):
+        # no orientation of joost:4,6 has a BRUSH bound of 0, so the
+        # first scan lists nothing; it still reads the clock at its
+        # first node and at its 257th, which passes the deadline
+        graph = family("joost:4,6")
+        searcher = search._Searcher(graph, Mode.BRUSH, Policy.SMALLEST, NO_CAP)
+        assert not collect_acyclic_orientation_bits(
+            graph, bounds=searcher.bounds, limit=0
+        )
+        self.expire_at_third_reading(monkeypatch)
+        real_count = search.count_acyclic_orientations
+        monkeypatch.setattr(
+            search,
+            "count_acyclic_orientations",
+            lambda graph, check=None: real_count(graph),
+        )
+        limits = []
+        real = search.collect_acyclic_orientation_bits
+
+        def listing(*args, **kwargs):
+            limits.append(kwargs["limit"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "collect_acyclic_orientation_bits", listing)
+        budget = SearchLimits(max_edges=30, time_budget=1.0)
+        with pytest.raises(LimitError) as raised:
+            best_index(graph, Mode.BRUSH, limits=budget)
+        assert limits == [0]
+        assert any(
+            e.name == "collect_acyclic_orientation_bits"
+            for e in raised.traceback
+        )
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_edge_limit_must_be_positive(self, limit):
