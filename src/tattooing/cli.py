@@ -1,10 +1,11 @@
 """Command-line front end: compute invariants, verify anchors, sweep families.
 
-Exit codes: 0 success, 1 a failed verify or sweep or a closed output pipe,
-2 input or parse failure (a malformed document included), 3 search-limit
-refusal, 4 witness replay mismatch or a witness that breaks the process
-rules.  All rationals are printed reduced, as ``p/q`` (or a bare integer
-when the denominator is one).
+Exit codes: 0 success, 1 a failed verify or sweep, or standard output
+that cannot be written (a closed pipe, a full disk), 2 input or parse
+failure (a malformed document and a ``--csv`` file that cannot be written
+included), 3 search-limit refusal, 4 witness replay mismatch or a witness
+that breaks the process rules.  All rationals are printed reduced, as
+``p/q`` (or a bare integer when the denominator is one).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import math
@@ -215,6 +217,13 @@ def cmd_compute(args) -> int:
         return _replay_check(args.replay)
     if args.quantity is None:
         raise InputError("--quantity is required (unless --replay is given)")
+    if args.workers != 1 and (
+        args.orientation is not None or args.quantity == "ratio-set"
+    ):
+        raise InputError(
+            "--workers applies only to a search over every orientation; "
+            "drop it with --orientation or --quantity ratio-set"
+        )
     graph, family = _load_graph(args)
     # ratio-set is not a Quantity; it implies no mode
     quantity = (
@@ -692,16 +701,20 @@ def cmd_sweep(args) -> int:
         handle = open(args.csv, "w", encoding="utf-8") if args.csv else None
     except OSError as exc:
         raise InputError(f"cannot write {args.csv}: {exc}") from exc
-    with handle or contextlib.nullcontext(sys.stdout) as out:
-        if workers > 1 and len(instances) > 1:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                rows = pool.map(row_of, instances)
-        else:
-            rows = [row_of(i) for i in instances]
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+    if workers > 1 and len(instances) > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            rows = pool.map(row_of, instances)
+    else:
+        rows = [row_of(i) for i in instances]
+    try:
+        with handle or contextlib.nullcontext(sys.stdout) as out:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([row[c] for c in columns])
+    except OSError as exc:  # a full disk: the file fails on close
+        # (standard output is a buffer until the command is done)
+        raise InputError(f"cannot write {args.csv}: {exc}") from exc
     return 0 if any(row["status"] == "ok" for row in rows) else 1
 
 
@@ -797,14 +810,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # a command's standard output is written once it is done, so that a
+    # failed write is told apart from a failed search
+    out = io.StringIO()
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # short output meets a closed pipe only here
-        return code
-    except BrokenPipeError:
-        # the reader is gone: send the interpreter's last flush to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -814,6 +825,16 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"inconsistent result: {exc}", file=sys.stderr)
         return 4
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe (``| head``) or a full disk
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        # send the interpreter's last flush of what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

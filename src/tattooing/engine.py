@@ -91,10 +91,6 @@ class ColourSet:
     def single(cls, index: int) -> ColourSet:
         return cls((index,))
 
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> ColourSet:
-        return cls(tuple(indices))
-
     @property
     def weight(self) -> int:
         return sum(self.members)

@@ -971,25 +971,6 @@ def best_index_for_orientation(
     return searcher.run_fixed(digraph.bits())
 
 
-def min_cost_for_orientation(
-    digraph: Digraph,
-    mode: Mode,
-    policy: Policy = Policy.SMALLEST,
-    limits: SearchLimits | None = None,
-) -> InvariantResult:
-    """Minimum cost over all runs on one fixed acyclic orientation, with
-    the least-label-sum run at that cost as witness."""
-    report = best_index_for_orientation(digraph, mode, policy, limits)
-    return InvariantResult(
-        quantity=next(q for q, m in COST_MODES.items() if m is mode),
-        mode=mode,
-        policy=policy,
-        value=report.cost,
-        witness=report.witness,
-        orientations_searched=1,
-    )
-
-
 def invariant(
     graph: Graph,
     quantity: Quantity,

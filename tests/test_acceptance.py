@@ -28,7 +28,6 @@ from tattooing.search import (
     SearchLimits,
     best_index,
     best_index_for_orientation,
-    min_cost_for_orientation,
     ratio_set,
 )
 
@@ -173,12 +172,12 @@ def test_criterion_7_out_star_log_bound():
     checks = []
     for t in range(1, 11):
         star = Graph(t + 1, tuple((0, leaf) for leaf in range(1, t + 1)))
-        result = min_cost_for_orientation(
+        result = best_index_for_orientation(
             Digraph(star, star.edges), Mode.BLEND, Policy.SMALLEST, LIMITS
         )
         checks.append(
             (f"cost(out-star {t}) == {t.bit_length()}",
-             result.value == t.bit_length())
+             result.cost == t.bit_length())
         )
     criterion(7, "out-star log bound", checks)
 

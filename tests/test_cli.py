@@ -120,17 +120,37 @@ class TestCompute:
         code, _, _ = run(capsys, "compute", "--quantity", "tau")
         assert code == 2
 
-    def test_unknown_family_exits_2(self, capsys):
-        code, _, _ = run(
-            capsys, "compute", "--family", "moebius:5", "--quantity", "tau"
+    @pytest.mark.parametrize(
+        "quantity",
+        [
+            ("tau",),
+            ("ratio-set", "--orientation", "0", "--allocate", "0:2"),
+        ],
+        ids=["tau", "ratio-set"],
+    )
+    def test_unknown_family_exits_2(self, capsys, quantity):
+        code, out, err = run(
+            capsys, "compute", "--family", "moebius:5", "--quantity", *quantity
         )
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: unknown family 'moebius'; ")
+        assert err.count("\n") == 1
 
-    def test_limit_refusal_exits_3(self, capsys):
+    @pytest.mark.parametrize(
+        "quantity",
+        [
+            ("tau",),
+            ("ratio-set", "--orientation", "0", "--allocate", "0:2"),
+        ],
+        ids=["tau", "ratio-set"],
+    )
+    def test_limit_refusal_exits_3(self, capsys, quantity):
         code, _, err = run(
-            capsys, "compute", "--family", "cycle:25", "--quantity", "tau"
+            capsys, "compute", "--family", "cycle:25", "--quantity", *quantity
         )
         assert code == 3
+        assert err.startswith("refused: ")
         assert "25" in err
 
     def test_max_edges_flag_lowers_limit(self, capsys):
@@ -164,7 +184,14 @@ class TestComputeOrientation:
         assert doc["orientation"] == 0
         assert doc["orientations_searched"] == 1
 
-    def test_cyclic_orientation_exits_2(self, capsys):
+    QUANTITIES = pytest.mark.parametrize(
+        "quantity",
+        [("tau",), ("ratio-set", "--allocate", "0:2")],
+        ids=["tau", "ratio-set"],
+    )
+
+    @QUANTITIES
+    def test_cyclic_orientation_exits_2(self, capsys, quantity):
         # edges of C3 are (0,1),(0,2),(1,2); flipping edge 1 closes a cycle
         code, _, err = run(
             capsys,
@@ -172,32 +199,41 @@ class TestComputeOrientation:
             "--family",
             "cycle:3",
             "--quantity",
-            "tau",
+            *quantity,
             "--orientation",
             "2",
         )
         assert code == 2
-        assert "cycle" in err
+        assert err == "error: orientation code 2 has a directed cycle\n"
 
-    def test_orientation_code_out_of_range_exits_2(self, capsys):
-        code, _, _ = run(
+    @QUANTITIES
+    def test_orientation_code_out_of_range_exits_2(self, capsys, quantity):
+        code, _, err = run(
             capsys,
             "compute",
             "--family",
             "cycle:3",
             "--quantity",
-            "tau",
+            *quantity,
             "--orientation",
             "8",
         )
         assert code == 2
+        assert err == "error: orientation code 8 out of range for 3 edges\n"
 
-    def test_ratio_set_values(self, capsys):
+    @pytest.mark.parametrize(
+        "spec,ratios",
+        [
+            ("cycle:3", ["3/8", "3/10", "3/14", "3/16"]),
+            ("cycle:5", ["5/12", "5/14", "5/18", "5/22", "5/26", "5/28"]),
+        ],
+    )
+    def test_ratio_set_values(self, capsys, spec, ratios):
         doc = run_json(
             capsys,
             "compute",
             "--family",
-            "cycle:3",
+            spec,
             "--quantity",
             "ratio-set",
             "--orientation",
@@ -206,7 +242,7 @@ class TestComputeOrientation:
             "0:2",
             "--no-timing",
         )
-        assert doc["value"] == ["3/8", "3/10", "3/14", "3/16"]
+        assert doc["value"] == ratios
         assert doc["witness"] is None
 
     def test_ratio_set_needs_orientation_and_allocation(self, capsys):
@@ -253,6 +289,33 @@ class TestComputeOrientation:
         assert code == 2
         assert out == ""
         assert err == "error: --allocate applies only to --quantity ratio-set\n"
+
+    @QUANTITIES
+    def test_workers_exit_2_before_any_search(
+        self, capsys, monkeypatch, quantity
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        for name in ("best_index", "best_index_for_orientation", "ratio_set"):
+            monkeypatch.setattr(cli, name, no_search)
+        code, out, err = run(
+            capsys, "compute", "--family", "cycle:4", "--quantity", *quantity,
+            "--orientation", "0", "--workers", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --workers applies only to a search ")
+
+    @QUANTITIES
+    def test_workers_1_is_the_default(self, capsys, quantity):
+        argv = (
+            "compute", "--family", "cycle:4", "--quantity", *quantity,
+            "--orientation", "0", "--no-timing",
+        )
+        assert run_json(capsys, *argv, "--workers", "1") == run_json(
+            capsys, *argv
+        )
 
     def test_ratio_set_time_budget_exits_3(self, capsys, monkeypatch):
         # about 16,600 firings, with the deadline checked every 256
@@ -666,21 +729,24 @@ class TestSweep:
         assert [r["tau"] for r in rows] == ["2"] * 6
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ("--family", "cycle", "--n", "5..3"),
-            ("--family", "joost", "--n", "3", "--k", "4..2"),
-            ("--family", "random", "--vertices", "4", "--edges", "4",
-             "--count", "-1"),
-            ("--family", "random", "--vertices", "4", "--edges", "4",
-             "--count", "0"),
+            (("--family", "cycle", "--n", "5..3"), "empty range '5..3'"),
+            (("--family", "cycle", "--n", "x"), "bad range 'x'"),
+            (("--family", "joost", "--n", "3", "--k", "4..2"), "empty range"),
+            (("--family", "random", "--vertices", "4", "--edges", "4",
+              "--count", "-1"), "--count"),
+            (("--family", "random", "--vertices", "4", "--edges", "4",
+              "--count", "0"), "--count"),
         ],
+        ids=["empty-n", "bad-n", "empty-k", "negative-count", "zero-count"],
     )
-    def test_no_instance_exits_2(self, capsys, argv):
+    def test_no_instance_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "sweep", *argv, "--no-timing")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
 
     def test_csv_file_output(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
@@ -1134,3 +1200,60 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs a /dev/full device"
+)
+class TestFullDevice:
+    """A write that fails ends in one ``error:`` line, not a traceback."""
+
+    def run_child(self, *argv, stdout=subprocess.DEVNULL):
+        return subprocess.run(
+            [sys.executable, "-m", "tattooing.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+            timeout=120,
+            text=True,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--family", "cycle:3", "--quantity", "tau"),
+            ("sweep", "--family", "cycle", "--n", "3..4", "--no-timing"),
+            ("verify", "--suite", "closed-forms"),
+        ],
+        ids=["compute", "sweep", "verify"],
+    )
+    def test_full_stdout_exits_1(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = self.run_child(*argv, stdout=full)
+        assert proc.returncode == 1
+        # one line: no traceback, no "Exception ignored" at exit
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_full_stdout_on_replay_exits_1(self, capsys, tmp_path):
+        saved = tmp_path / "cycle3.json"
+        code, out, _ = run(
+            capsys, "compute", "--family", "cycle:3", "--quantity", "tau",
+            "--no-timing",
+        )
+        assert code == 0
+        saved.write_text(out)
+        with open("/dev/full", "w") as full:
+            proc = self.run_child("compute", "--replay", str(saved), stdout=full)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_full_csv_file_exits_2(self):
+        proc = self.run_child(
+            "sweep", "--family", "cycle", "--n", "3", "--no-timing",
+            "--csv", "/dev/full",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write /dev/full: ")
+        assert proc.stderr.count("\n") == 1

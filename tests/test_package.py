@@ -1,0 +1,72 @@
+"""The public surface of the package, pinned name by name."""
+
+from __future__ import annotations
+
+import tattooing
+
+PUBLIC = [
+    "AllocationPlan",
+    "ColourSet",
+    "Digraph",
+    "DisconnectedGraphError",
+    "DuplicateEdgeError",
+    "EdgeListError",
+    "EngineError",
+    "FamilyFormulaResult",
+    "FamilyKind",
+    "FamilySpec",
+    "FireEvent",
+    "Graph",
+    "IncompleteAssignmentError",
+    "IndexReport",
+    "InjectivityError",
+    "InvariantResult",
+    "LimitError",
+    "MAX_ORACLE_EDGES",
+    "MalformedLineError",
+    "Mode",
+    "NotReadyError",
+    "OracleResult",
+    "Outcome",
+    "Policy",
+    "ProcessState",
+    "Quantity",
+    "ReplayError",
+    "SearchLimits",
+    "SelfLoopError",
+    "UnavailableColourSetError",
+    "Witness",
+    "best_index",
+    "best_index_for_orientation",
+    "build_family",
+    "collect_acyclic_orientation_bits",
+    "connected_graph_corpus",
+    "count_acyclic_orientations",
+    "cycle_tau",
+    "fire",
+    "fr3_formulas",
+    "general_fr_formulas",
+    "initial_state",
+    "invariant",
+    "joost_formulas",
+    "mutate_pool",
+    "oracle_invariants",
+    "orient",
+    "parse_edge_list",
+    "parse_family_spec",
+    "ratio_set",
+    "ready_vertices",
+    "replay",
+    "required_primaries",
+]
+
+
+def test_all_is_the_pinned_sorted_list():
+    # a name added to or removed from the package shows up here
+    assert PUBLIC == sorted(set(PUBLIC))
+    assert tattooing.__all__ == PUBLIC
+
+
+def test_every_listed_name_resolves():
+    missing = [name for name in tattooing.__all__ if not hasattr(tattooing, name)]
+    assert missing == []

@@ -33,7 +33,7 @@ from tattooing.graphs import (
     collect_acyclic_orientation_bits,
     orient,
 )
-from tattooing.search import best_index, min_cost_for_orientation
+from tattooing.search import best_index, best_index_for_orientation
 
 PROPERTY_SETTINGS = settings(
     max_examples=30,
@@ -105,10 +105,9 @@ class TestScheduleOrderIndependence:
     def test_any_ready_order_reaches_the_same_outcome(self, oriented, data):
         graph, code = oriented
         digraph = orient(graph, code)
-        result = min_cost_for_orientation(
-            digraph, Mode.BLEND, Policy.SMALLEST, None
-        )
-        witness = result.witness
+        witness = best_index_for_orientation(
+            digraph, Mode.BLEND, Policy.SMALLEST
+        ).witness
         assignments = events_by_vertex(witness)
         plan = AllocationPlan(witness.initial, witness.policy)
 
@@ -142,10 +141,9 @@ class TestPoolContract:
     def test_pool_is_mutations_minus_used(self, oriented, mode):
         graph, code = oriented
         digraph = orient(graph, code)
-        result = min_cost_for_orientation(
-            digraph, mode, Policy.SMALLEST, None
-        )
-        witness = result.witness
+        witness = best_index_for_orientation(
+            digraph, mode, Policy.SMALLEST
+        ).witness
         assignments = events_by_vertex(witness)
         state = initial_state(
             digraph, mode, AllocationPlan(witness.initial, witness.policy)

@@ -39,7 +39,6 @@ from tattooing.search import (
     best_index,
     best_index_for_orientation,
     invariant,
-    min_cost_for_orientation,
     ratio_set,
 )
 from tattooing.search import _cheap_prefix
@@ -228,51 +227,52 @@ class TestFixedOrientation:
     @pytest.mark.parametrize("t", range(1, 11))
     def test_out_star_needs_log_many_primaries(self, t):
         d = identity_orientation(family(f"star:{t}"))
-        res = min_cost_for_orientation(d, Mode.BLEND)
-        assert res.value == t.bit_length()
-        assert res.quantity is Quantity.TAU
+        res = best_index_for_orientation(d, Mode.BLEND)
+        assert res.cost == t.bit_length()
         assert res.orientations_searched == 1
 
     def test_out_star_fsg_needs_one_primary_per_arc(self):
         d = identity_orientation(family("star:6"))
-        assert min_cost_for_orientation(d, Mode.FSG).value == 6
+        assert best_index_for_orientation(d, Mode.FSG).cost == 6
 
     def test_directed_path_any_mode_costs_one(self):
         d = identity_orientation(family("path:5"))
         for mode in Mode:
-            assert min_cost_for_orientation(d, mode).value == 1
+            assert best_index_for_orientation(d, mode).cost == 1
 
     def test_cycle_as_two_directed_paths(self):
         d = identity_orientation(family("cycle:7"))
-        assert min_cost_for_orientation(d, Mode.BLEND).value == 2
+        assert best_index_for_orientation(d, Mode.BLEND).cost == 2
 
     def test_cyclic_orientation_rejected(self):
         g = family("cycle:3")
         cyclic = Digraph(g, ((0, 1), (2, 0), (1, 2)))
         with pytest.raises(ValueError):
-            min_cost_for_orientation(cyclic, Mode.BLEND)
-        with pytest.raises(ValueError):
             best_index_for_orientation(cyclic, Mode.BLEND)
 
     def test_brush_orientation_cost_is_deficit_sum(self):
         d = identity_orientation(family("star:5"))
-        res = min_cost_for_orientation(d, Mode.BRUSH)
-        assert res.value == 5
-        assert res.quantity is Quantity.BR
+        assert best_index_for_orientation(d, Mode.BRUSH).cost == 5
 
 
 class TestOneSearchPath:
     @pytest.mark.parametrize("policy", list(Policy))
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_min_cost_is_the_fixed_optimum(self, mode, policy):
-        # the least cost, witnessed by the least-label-sum run at it
+    def test_best_index_is_the_least_fixed_optimum(self, mode, policy):
+        # least cost, then least label sum, over the fixed optima of every
+        # acyclic orientation; the witness's orientation attains it
         for g in connected_graph_corpus(4):
-            for code in collect_acyclic_orientation_bits(g):
-                d = orient(g, code)
-                res = min_cost_for_orientation(d, mode, policy)
-                report = best_index_for_orientation(d, mode, policy)
-                assert res.value == report.cost
-                assert res.witness == report.witness
+            report = best_index(g, mode, policy)
+            fixed = [
+                best_index_for_orientation(orient(g, code), mode, policy)
+                for code in collect_acyclic_orientation_bits(g)
+            ]
+            best = (report.cost, report.label_sum)
+            assert best == min((r.cost, r.label_sum) for r in fixed)
+            at_witness = best_index_for_orientation(
+                orient(g, report.witness.orientation), mode, policy
+            )
+            assert (at_witness.cost, at_witness.label_sum) == best
 
     @pytest.mark.parametrize("policy", list(Policy))
     @pytest.mark.parametrize("mode", list(Mode))
@@ -315,9 +315,6 @@ class TestCheapPrefix:
 ANSWERS = {
     "best_index": lambda g, mode: best_index(g, mode),
     "best_index_for_orientation": lambda g, mode: best_index_for_orientation(
-        identity_orientation(g), mode
-    ),
-    "min_cost_for_orientation": lambda g, mode: min_cost_for_orientation(
         identity_orientation(g), mode
     ),
     "invariant": lambda g, mode: invariant(g, Quantity.INDEX, mode),
