@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from tattooing.graphs import Digraph, Graph, orient
 
@@ -282,12 +282,18 @@ def ready_vertices(state: ProcessState) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mutate_pool(state: ProcessState, vertex: int) -> tuple[ColourSet, ...]:
+def mutate_pool(
+    state: ProcessState,
+    vertex: int,
+    check: Callable[[], None] | None = None,
+) -> tuple[ColourSet, ...]:
     """Colour sets the vertex could dispatch right now, without augmenting.
 
     BLEND: every non-empty subset of the present primaries plus every
     arrived blend; FSG: singletons of the present primaries.  Sorted by
-    weight, then cardinality, then members.
+    weight, then cardinality, then members.  ``check``, if given, is
+    called at the first subset built and every 256th after it, and may
+    raise to abandon the pool, as a search's deadline does.
     """
     if state.mode is Mode.BRUSH:
         raise ValueError("anonymous brush tokens form no colour pool")
@@ -296,8 +302,12 @@ def mutate_pool(state: ProcessState, vertex: int) -> tuple[ColourSet, ...]:
     if state.mode is Mode.FSG:
         pool = {ColourSet.single(p) for p in present}
     else:
+        built = 0
         for r in range(1, len(present) + 1):
             for combo in combinations(present, r):
+                built += 1
+                if check is not None and built % 256 == 1:
+                    check()
                 pool.add(ColourSet(combo))
         pool.update(state.arrived_blends[vertex])
     return tuple(sorted(pool, key=ColourSet.sort_key))

@@ -81,7 +81,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, combinations, count, islice, permutations
+from itertools import accumulate, count, islice, permutations
 from math import inf
 
 import networkx as nx
@@ -992,6 +992,16 @@ def invariant(
     )
 
 
+def _sums_of(weights: list[int], k: int, clock: _Clock) -> set[int]:
+    """Every sum of exactly ``k`` of ``weights``: a reachability pass over
+    (how many taken, weight so far), one weight at a time."""
+    reach = {(0, 0)}
+    for w in weights:
+        clock.tick()
+        reach |= {(t + 1, s + w) for t, s in reach if t < k}
+    return {s for t, s in reach if t == k}
+
+
 def ratio_set(
     digraph: Digraph,
     mode: Mode,
@@ -1002,7 +1012,8 @@ def ratio_set(
     orientation and allocation without any augmentation.
 
     Explores each distinct state once through the process engine itself,
-    branching over every injective pool assignment at each firing.
+    firing once per injective assignment of pool sets to the arcs whose
+    heads fire later; arcs into sinks are weighed, not fired one by one.
     Raises ValueError on a cyclic orientation or if no schedule
     completes, and LimitError once the time budget is spent.
     """
@@ -1032,8 +1043,9 @@ def ratio_set(
     # Pools never augment, so the cost stays fixed; the tattooed arcs fix
     # which vertex fires next; and colours are read only at vertices that
     # will still fire.  Those three things are all a state's future sees.
-    # Arcs into sinks are only weighed, so they take each combination,
-    # not each permutation, of the sets the live arcs left.
+    # Sinks never fire, so each choice of sets for the arcs into them
+    # leads to the same state: one child per live assignment is fired,
+    # and the sink arcs add every sum of weights the sets left can make.
     clock = _Clock(limits.time_budget)
     memo: dict[tuple, frozenset[int]] = {}
 
@@ -1059,17 +1071,21 @@ def ratio_set(
             todo = state.untattooed_out(v)
             live = [i for i in todo if digraph.out_arcs(digraph.head(i))]
             dead = [i for i in todo if not digraph.out_arcs(digraph.head(i))]
-            pool = mutate_pool(state, v)
+            pool = mutate_pool(state, v, clock.check)
             found = set()
-            for sets in permutations(pool, len(live)):
+            # too few sets for every arc: nothing fires
+            assignments = (
+                permutations(pool, len(live)) if len(pool) >= len(todo) else ()
+            )
+            for sets in assignments:
+                clock.tick()
                 rest = [c for c in pool if c not in sets]
-                for tail in combinations(rest, len(dead)):
-                    clock.tick()
-                    child = fire(
-                        state, v, tuple(zip(live + dead, sets + tail))
-                    )
-                    step = sum(c.weight for c in sets + tail)
-                    found.update(step + x for x in explore(child))
+                tail = tuple(rest[: len(dead)])
+                child = fire(state, v, tuple(zip(live + dead, sets + tail)))
+                after = explore(child)
+                step = sum(c.weight for c in sets)
+                for s in _sums_of([c.weight for c in rest], len(dead), clock):
+                    found.update(step + s + x for x in after)
         memo[key] = frozenset(found)
         return memo[key]
 

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -318,12 +319,26 @@ class TestComputeOrientation:
         )
 
     def test_ratio_set_time_budget_exits_3(self, capsys, monkeypatch):
-        # about 16,600 firings, with the deadline checked every 256
+        # about 0.4 s of work, with the deadline checked every 256 ticks
         monkeypatch.setenv("TATTOO_TIME_BUDGET", "0.001")
         code, out, err = run(
-            capsys, "compute", "--family", "friendship:3,2", "--quantity",
+            capsys, "compute", "--family", "friendship:3,3", "--quantity",
             "ratio-set", "--orientation", "0", "--allocate", "0:4",
         )
+        assert code == 3
+        assert out == ""
+        assert err == "refused: time budget exceeded\n"
+
+    def test_ratio_set_time_budget_covers_the_pool(self, capsys, monkeypatch):
+        # the root's blend pool alone has 2^21 - 1 sets: many seconds of
+        # work, so the refusal must come while the pool is built
+        monkeypatch.setenv("TATTOO_TIME_BUDGET", "0.2")
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "compute", "--family", "cycle:4", "--quantity",
+            "ratio-set", "--orientation", "0", "--allocate", "0:21",
+        )
+        assert time.monotonic() - start < 5
         assert code == 3
         assert out == ""
         assert err == "refused: time budget exceeded\n"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, combinations, permutations
 from types import SimpleNamespace
 
 import networkx as nx
@@ -172,19 +172,61 @@ class TestSharedStates:
                             cases += 1
         assert cases == 5304
 
+    @pytest.mark.parametrize(
+        "spec", ["star:3", "star:4", "star:5", "friendship:3,2"]
+    )
+    def test_sink_heavy_matches_reference(self, spec):
+        # orientation 0 sends every star arc, and four of the six arcs of
+        # friendship:3,2, into a sink
+        digraph = orient(family(spec), 0)
+        for counts in ({0: 2}, {0: 3}):
+            for mode in (Mode.FSG, Mode.BLEND):
+                for policy in Policy:
+                    plan = AllocationPlan.from_counts(counts, policy)
+                    args = (digraph, mode, plan)
+                    got = self.outcome(ratio_set, *args)
+                    want = self.outcome(_reference_ratio_set, *args)
+                    assert got == want, args[1:]
+
+    def test_star_sums_every_combination_of_the_pool(self):
+        digraph = orient(family("star:6"), 0)
+        plan = source_plan(4)
+        pool = engine.mutate_pool(initial_state(digraph, Mode.BLEND, plan), 0)
+        want = frozenset(
+            Fraction(6, 4 * sum(c.weight for c in sets))
+            for sets in combinations(pool, 6)
+        )
+        assert ratio_set(digraph, Mode.BLEND, plan, NO_CAP) == want
+
+    def test_star_12_within_budget(self):
+        # its 12 arcs into sinks once took C(31, 12) firings at the root
+        digraph = orient(family("star:12"), 0)
+        budget = SearchLimits(max_edges=30, time_budget=5.0)
+        assert len(ratio_set(digraph, Mode.BLEND, source_plan(5), budget)) == 87
+
     def test_fires_far_fewer_times(self, monkeypatch):
-        # the reference fires 98,280 times here
-        fired = []
+        # The reference fires 98,280 times here.  Sharing equal states
+        # brought that to 16,605, of which 16,380 were the root's 210 live
+        # permutations times 78 sink combinations; weighing the sink arcs
+        # instead of firing each combination leaves one fire per live
+        # permutation.
+        calls = {"fire": 0, "mutate_pool": 0}
 
-        def counted(*args, **kwargs):
-            fired.append(args[1])
-            return fire(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(search, "fire", counted)
+            return wrapper
+
+        monkeypatch.setattr(search, "fire", counted("fire", fire))
+        monkeypatch.setattr(
+            search, "mutate_pool", counted("mutate_pool", engine.mutate_pool)
+        )
         digraph = orient(family("friendship:3,2"), 0)
         plan = AllocationPlan(((0, 4),), Policy.SMALLEST)
         assert len(ratio_set(digraph, Mode.BLEND, plan, NO_CAP)) == 42
-        assert 0 < len(fired) < 20_000
+        assert calls == {"fire": 435, "mutate_pool": 226}
 
     def test_cyclic_orientation_is_named(self):
         g = family("cycle:3")
@@ -196,7 +238,8 @@ class TestSharedStates:
                     ratio_set(orient(g, code), mode, source_plan(2))
 
     def test_time_budget_refusal(self):
-        digraph = orient(family("friendship:3,2"), 0)
+        # about 0.4 s of work, with the deadline checked every 256 ticks
+        digraph = orient(family("friendship:3,3"), 0)
         plan = AllocationPlan(((0, 4),), Policy.SMALLEST)
         tight = SearchLimits(max_edges=30, time_budget=1e-3)
         with pytest.raises(LimitError, match="time budget exceeded"):
