@@ -19,6 +19,18 @@ with every injective assignment of pool sets to untattooed out-arcs.
 Originating more primaries at a vertex than its out-degree needs can
 only raise the cost without enabling any cheaper labelling, so the caps
 do not hide any lexicographic (cost, label sum) minimum.
+
+Search order: cost levels come outermost.  Every acyclic orientation is
+listed once, then each initial total from 0 upwards is tried on all of
+them, and the search stops at the first total above the best cost found.
+Within a level the DFS cuts a branch once its cost exceeds the best, or,
+at equal cost, once its label sum plus a floor for the arcs still to
+tattoo reaches the best sum.  Skipping a total above the best, or a
+whole orientation whose root floor already reaches the best sum, makes
+those same cuts before the plans are listed: every skipped call is one
+the DFS would reject on its first test with the same incumbent.  The
+answer is the lexicographic minimum over a fixed search space, so the
+order does not change it.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from tattooing.engine import Mode, Policy
 from tattooing.graphs import Graph
@@ -83,10 +96,10 @@ def oracle_invariants(
 ) -> OracleResult:
     """Exhaustively minimise (cost, label sum) for one graph and mode.
 
-    Refuses graphs with more than six edges; the search is meant to stay
-    honest, not fast.  ``cost_bound`` caps the total primaries tried and
-    defaults to the edge count, which is always enough: tattooing from
-    in-arc arrivals alone costs at most one primary per arc.
+    Refuses graphs with more than six edges.  ``cost_bound`` caps the
+    total primaries tried and defaults to the edge count, which is always
+    enough: tattooing from in-arc arrivals alone costs at most one
+    primary per arc.
     """
     m = graph.m
     if m == 0:
@@ -97,14 +110,24 @@ def oracle_invariants(
         )
     bound = m if cost_bound is None else cost_bound
     best: list[int | None] = [None, None]  # cost, label sum
-    orientations = 0
-    for arcs in _acyclic_arc_lists(graph):
-        orientations += 1
-        if mode is Mode.BRUSH:
-            cost = _brush_cost(graph.n, arcs)
-            _offer(best, cost, m)
-        else:
-            _search_orientation(graph, arcs, mode, policy, bound, best)
+    if mode is Mode.BRUSH:
+        orientations = 0
+        for arcs in _acyclic_arc_lists(graph):
+            orientations += 1
+            _offer(best, _brush_cost(graph.n, arcs), m)
+    else:
+        shapes = [
+            _shape(graph.n, arcs, mode) for arcs in _acyclic_arc_lists(graph)
+        ]
+        orientations = len(shapes)
+        for total in range(0, bound + 1):
+            if best[0] is not None and total > best[0]:
+                break
+            for shape in shapes:
+                # ``best`` only falls, so a cut orientation stays cut
+                if total == best[0] and shape.floor >= best[1]:
+                    continue
+                _search_level(graph.n, shape, mode, policy, bound, best, total)
     cost, label_sum = best
     if cost is None:
         raise ValueError("no run completed within the cost bound")
@@ -201,6 +224,10 @@ def _smallest_ready(n, arcs, out_arcs, in_arcs, done) -> int | None:
 def _capped_counts(caps: list[int], total: int):
     """All ways to hand out ``total`` primaries within per-vertex caps."""
     spots = [v for v, cap in enumerate(caps) if cap > 0]
+    # room_after[idx]: the most the spots from idx on can still take
+    room_after = [0] * (len(spots) + 1)
+    for idx in range(len(spots) - 1, -1, -1):
+        room_after[idx] = room_after[idx + 1] + caps[spots[idx]]
 
     def rec(idx: int, left: int, acc: list[tuple[int, int]]):
         if idx == len(spots):
@@ -208,8 +235,8 @@ def _capped_counts(caps: list[int], total: int):
                 yield tuple(acc)
             return
         v = spots[idx]
-        room_after = sum(caps[w] for w in spots[idx + 1 :])
-        for k in range(max(0, left - room_after), min(caps[v], left) + 1):
+        low = max(0, left - room_after[idx + 1])
+        for k in range(low, min(caps[v], left) + 1):
             if k:
                 acc.append((v, k))
             yield from rec(idx + 1, left - k, acc)
@@ -219,50 +246,67 @@ def _capped_counts(caps: list[int], total: int):
     yield from rec(0, total, [])
 
 
-def _search_orientation(
-    graph: Graph,
-    arcs: list[tuple[int, int]],
-    mode: Mode,
-    policy: Policy,
-    bound: int,
-    best: list[int | None],
-) -> None:
-    n = graph.n
+class _Shape(NamedTuple):
+    """One orientation, laid out once for every cost level."""
+
+    arcs: list[tuple[int, int]]
+    out_arcs: list[list[int]]
+    in_arcs: list[list[int]]
+    caps: list[int]
+    # the least label sum any run on this orientation can reach
+    floor: int
+
+
+def _shape(n: int, arcs: list[tuple[int, int]], mode: Mode) -> _Shape:
     out_arcs: list[list[int]] = [[] for _ in range(n)]
     in_arcs: list[list[int]] = [[] for _ in range(n)]
     for i, (t, h) in enumerate(arcs):
         out_arcs[t].append(i)
         in_arcs[h].append(i)
     caps = [_needed(len(out_arcs[v]), mode) for v in range(n)]
+    prefix = _cheapest_distinct_weights(mode)
+    floor = sum(prefix[len(out_arcs[v])] for v in range(n))
+    return _Shape(arcs, out_arcs, in_arcs, caps, floor)
 
-    for total in range(0, bound + 1):
-        for plan in _capped_counts(caps, total):
-            present = [0] * n
-            fresh = 1
-            if policy is Policy.SMALLEST:
-                for v, k in plan:
-                    present[v] = (1 << k) - 1
-            else:
-                for v, k in plan:
-                    present[v] = ((1 << k) - 1) << (fresh - 1)
-                    fresh += k
-            _dfs(
-                n,
-                arcs,
-                out_arcs,
-                in_arcs,
-                mode,
-                policy,
-                bound,
-                best,
-                [None] * len(arcs),
-                present,
-                [frozenset()] * n,
-                [frozenset()] * n,
-                total,
-                0,
-                fresh,
-            )
+
+def _search_level(
+    n: int,
+    shape: _Shape,
+    mode: Mode,
+    policy: Policy,
+    bound: int,
+    best: list[int | None],
+    total: int,
+) -> None:
+    """Run the DFS from every allocation of exactly ``total`` primaries."""
+    arcs, out_arcs, in_arcs, caps, _ = shape
+    for plan in _capped_counts(caps, total):
+        present = [0] * n
+        fresh = 1
+        if policy is Policy.SMALLEST:
+            for v, k in plan:
+                present[v] = (1 << k) - 1
+        else:
+            for v, k in plan:
+                present[v] = ((1 << k) - 1) << (fresh - 1)
+                fresh += k
+        _dfs(
+            n,
+            arcs,
+            out_arcs,
+            in_arcs,
+            mode,
+            policy,
+            bound,
+            best,
+            [None] * len(arcs),
+            present,
+            [frozenset()] * n,
+            [frozenset()] * n,
+            total,
+            0,
+            fresh,
+        )
 
 
 def _submasks(mask: int) -> list[int]:
@@ -296,13 +340,12 @@ def _dfs(
     if best[0] is not None and cost > best[0]:
         return
     done = [s is not None for s in labels]
+    # untattooed out-arcs per vertex, and the least weight they can carry
+    left = [sum(1 for i in out_arcs[w] if not done[i]) for w in range(n)]
+    prefix = _cheapest_distinct_weights(mode)
+    all_floor = sum(prefix[t_w] for t_w in left)
     if best[0] is not None and cost == best[0]:
-        floor = ssum
-        prefix = _cheapest_distinct_weights(mode)
-        for w in range(n):
-            t_w = sum(1 for i in out_arcs[w] if not done[i])
-            floor += prefix[t_w]
-        if floor >= best[1]:
+        if ssum + all_floor >= best[1]:
             return
     v = _smallest_ready(n, arcs, out_arcs, in_arcs, done)
     if v is None:
@@ -313,12 +356,7 @@ def _dfs(
     t = len(todo)
     old = present[v]
     arrived = blends[v]
-    prefix = _cheapest_distinct_weights(mode)
-    rest_floor = sum(
-        prefix[sum(1 for i in out_arcs[w] if not done[i])]
-        for w in range(n)
-        if w != v
-    )
+    rest_floor = all_floor - prefix[left[v]]
     for extra in range(0, _needed(len(out_arcs[v]), mode) + 1):
         if cost + extra > bound:
             break

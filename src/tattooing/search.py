@@ -77,6 +77,7 @@ import multiprocessing
 import os
 import time
 import warnings
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -992,13 +993,16 @@ def invariant(
     )
 
 
-def _sums_of(weights: list[int], k: int, clock: _Clock) -> set[int]:
-    """Every sum of exactly ``k`` of ``weights``: a reachability pass over
-    (how many taken, weight so far), one weight at a time."""
+def _sums_of(counts: Counter, k: int, clock: _Clock) -> set[int]:
+    """Every sum of exactly ``k`` sets, drawn from ``counts`` (how many sets
+    have each weight): a reachability pass over (how many taken, weight
+    so far), one distinct weight at a time.  No sum takes more than ``k``
+    sets of one weight."""
     reach = {(0, 0)}
-    for w in weights:
+    for w, c in counts.items():
         clock.tick()
-        reach |= {(t + 1, s + w) for t, s in reach if t < k}
+        for _ in range(min(c, k)):
+            reach |= {(t + 1, s + w) for t, s in reach if t < k}
     return {s for t, s in reach if t == k}
 
 
@@ -1077,14 +1081,23 @@ def ratio_set(
             assignments = (
                 permutations(pool, len(live)) if len(pool) >= len(todo) else ()
             )
+            counts = Counter(c.weight for c in pool)
+            # the sets left differ only by the live ones taken out, so
+            # their sink sums depend only on the live weights
+            sink_sums: dict[tuple[int, ...], set[int]] = {}
             for sets in assignments:
                 clock.tick()
-                rest = [c for c in pool if c not in sets]
-                tail = tuple(rest[: len(dead)])
+                tail = tuple(
+                    islice((c for c in pool if c not in sets), len(dead))
+                )
                 child = fire(state, v, tuple(zip(live + dead, sets + tail)))
                 after = explore(child)
-                step = sum(c.weight for c in sets)
-                for s in _sums_of([c.weight for c in rest], len(dead), clock):
+                taken = tuple(sorted(c.weight for c in sets))
+                if taken not in sink_sums:
+                    left = counts - Counter(taken)
+                    sink_sums[taken] = _sums_of(left, len(dead), clock)
+                step = sum(taken)
+                for s in sink_sums[taken]:
                     found.update(step + s + x for x in after)
         memo[key] = frozenset(found)
         return memo[key]

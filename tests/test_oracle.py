@@ -50,6 +50,57 @@ def _all_subsets_corpus(max_edges: int) -> tuple[Graph, ...]:
     return tuple(Graph(n, code) for n, code in ordered)
 
 
+def _reference_oracle(
+    graph: Graph,
+    mode: Mode,
+    policy: Policy = Policy.SMALLEST,
+    cost_bound: int | None = None,
+) -> oracle.OracleResult:
+    """Reference search order: one orientation at a time, every total
+    from 0 to the bound on each, over the module's own DFS."""
+    m, n = graph.m, graph.n
+    bound = m if cost_bound is None else cost_bound
+    best = [None, None]
+    orientations = 0
+    for arcs in oracle._acyclic_arc_lists(graph):
+        orientations += 1
+        if mode is Mode.BRUSH:
+            oracle._offer(best, oracle._brush_cost(n, arcs), m)
+            continue
+        out_arcs = [[] for _ in range(n)]
+        in_arcs = [[] for _ in range(n)]
+        for i, (t, h) in enumerate(arcs):
+            out_arcs[t].append(i)
+            in_arcs[h].append(i)
+        caps = [oracle._needed(len(out_arcs[v]), mode) for v in range(n)]
+        for total in range(0, bound + 1):
+            for plan in oracle._capped_counts(caps, total):
+                present = [0] * n
+                fresh = 1
+                for v, k in plan:
+                    if policy is Policy.SMALLEST:
+                        present[v] = (1 << k) - 1
+                    else:
+                        present[v] = ((1 << k) - 1) << (fresh - 1)
+                        fresh += k
+                oracle._dfs(
+                    n, arcs, out_arcs, in_arcs, mode, policy, bound, best,
+                    [None] * len(arcs), present, [frozenset()] * n,
+                    [frozenset()] * n, total, 0, fresh,
+                )
+    cost, label_sum = best
+    if cost is None:
+        raise ValueError("no run completed within the cost bound")
+    return oracle.OracleResult(
+        mode=mode,
+        cost=cost,
+        label_sum=label_sum,
+        raw_ratio=Fraction(m, label_sum),
+        index=Fraction(m, cost * label_sum),
+        orientations=orientations,
+    )
+
+
 class TestCorpus:
     def test_counts_by_edges(self):
         corpus = connected_graph_corpus(5)
@@ -209,3 +260,60 @@ class TestOracleValues:
             r = oracle_invariants(g, Mode.BRUSH)
             assert r.label_sum == g.m
             assert r.raw_ratio == 1
+
+
+class TestSearchOrder:
+    """Cost levels outermost, cut at the incumbent: the same answers as
+    searching one orientation at a time, and no root the DFS would
+    reject on entry."""
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_corpus_matches_reference(self, mode, policy):
+        for g in connected_graph_corpus(5):
+            assert oracle_invariants(g, mode, policy) == _reference_oracle(
+                g, mode, policy
+            ), g.edges
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("mode", (Mode.FSG, Mode.BLEND))
+    @pytest.mark.parametrize("spec", ["friendship:3,2", "wheel:3", "star:5"])
+    def test_families_match_reference(self, spec, mode, policy):
+        g = family(spec)
+        assert oracle_invariants(g, mode, policy) == _reference_oracle(
+            g, mode, policy
+        )
+
+    @pytest.mark.parametrize("mode", (Mode.FSG, Mode.BLEND))
+    @pytest.mark.parametrize("spec", ["cycle:4", "star:5", "wheel:3"])
+    def test_cost_bound_at_and_below_the_optimum(self, spec, mode):
+        g = family(spec)
+        free = oracle_invariants(g, mode)
+        assert oracle_invariants(g, mode, cost_bound=free.cost) == free
+        assert _reference_oracle(g, mode, cost_bound=free.cost) == free
+        with pytest.raises(ValueError, match="within the cost bound"):
+            oracle_invariants(g, mode, cost_bound=free.cost - 1)
+
+    def test_no_root_starts_beyond_the_incumbent(self, monkeypatch):
+        roots = []
+        dfs = oracle._dfs
+        prefix = oracle._cheapest_distinct_weights(Mode.BLEND)
+
+        def recording(*args):
+            _, _, out_arcs, _, _, _, _, best, labels = args[:9]
+            cost = args[12]
+            if all(s is None for s in labels):
+                floor = sum(prefix[len(out)] for out in out_arcs)
+                roots.append((cost, floor, best[0], best[1]))
+            return dfs(*args)
+
+        monkeypatch.setattr(oracle, "_dfs", recording)
+        for g in connected_graph_corpus(6)[40:52]:
+            oracle_invariants(g, Mode.BLEND)
+        assert roots
+        for cost, floor, best_cost, best_sum in roots:
+            if best_cost is None:
+                continue
+            assert cost <= best_cost
+            if cost == best_cost:
+                assert floor < best_sum

@@ -204,6 +204,16 @@ class TestSharedStates:
         budget = SearchLimits(max_edges=30, time_budget=5.0)
         assert len(ratio_set(digraph, Mode.BLEND, source_plan(5), budget)) == 87
 
+    def test_cycle_4_twelve_primaries_within_budget(self):
+        # 4,095 blend sets at the root, one live arc and one into a sink:
+        # the sink sums are found once per distinct live weight, where a
+        # pass over every set left per live set took 40 s.  Every label
+        # sum from 5 to 311 is reached, as before.
+        digraph = orient(family("cycle:4"), 0)
+        budget = SearchLimits(max_edges=30, time_budget=10.0)
+        want = frozenset(Fraction(4, 12 * s) for s in range(5, 312))
+        assert ratio_set(digraph, Mode.BLEND, source_plan(12), budget) == want
+
     def test_fires_far_fewer_times(self, monkeypatch):
         # The reference fires 98,280 times here.  Sharing equal states
         # brought that to 16,605, of which 16,380 were the root's 210 live
@@ -472,10 +482,11 @@ class TestOracleAgreement:
 
     @pytest.mark.parametrize("mode", (Mode.FSG, Mode.BLEND))
     def test_fresh_policy_agrees(self, mode):
-        for g in connected_graph_corpus(4):
+        for g in connected_graph_corpus(5):
             r = best_index(g, mode, Policy.FRESH)
             o = oracle_invariants(g, mode, Policy.FRESH)
             assert (r.cost, r.label_sum) == (o.cost, o.label_sum)
+            assert r.orientations_searched == o.orientations
 
 
 class TestFreshPolicy:
