@@ -7,10 +7,16 @@ primary-count requirements with its own arithmetic.  It exists to give
 the optimizer something independent to agree with, so any shared bug
 would have to be written twice.
 
-The simulator always fires the smallest ready vertex.  Firing order
-cannot change what a run can achieve: a vertex fires exactly once, and
-the colour sets available to it depend only on its initial allocation
-and on what its in-arcs carry, never on when other vertices fired.
+The simulator always fires the smallest ready vertex, so each
+orientation has one fixed firing order.  Firing tattoos every out-arc
+of a vertex, so an arc is tattooed exactly when its tail has fired, and
+each vertex fires at most once.  Which vertices are ready therefore
+depends only on which have fired, and the whole sequence is a function
+of the orientation: the acyclicity check computes it once, and the DFS
+fires its k-th vertex at depth k.  Firing order cannot change what a
+run can achieve either: the colour sets available to a vertex depend
+only on its initial allocation and on what its in-arcs carry, never on
+when other vertices fired.
 
 Search space, per acyclic orientation: every initial allocation giving
 each vertex at most as many primaries as its out-degree ever needs, and
@@ -38,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
@@ -97,9 +104,10 @@ def oracle_invariants(
     """Exhaustively minimise (cost, label sum) for one graph and mode.
 
     Refuses graphs with more than six edges.  ``cost_bound`` caps the
-    total primaries tried and defaults to the edge count, which is always
-    enough: tattooing from in-arc arrivals alone costs at most one
-    primary per arc.
+    cost of the runs considered, in every mode: the primaries allocated
+    and granted in FSG and BLEND, the tokens topped up in BRUSH.  It
+    defaults to the edge count, which is always enough: tattooing from
+    in-arc arrivals alone costs at most one primary per arc.
     """
     m = graph.m
     if m == 0:
@@ -112,12 +120,15 @@ def oracle_invariants(
     best: list[int | None] = [None, None]  # cost, label sum
     if mode is Mode.BRUSH:
         orientations = 0
-        for arcs in _acyclic_arc_lists(graph):
+        for arcs, order in _acyclic_arc_lists(graph):
             orientations += 1
-            _offer(best, _brush_cost(graph.n, arcs), m)
+            cost = _brush_cost(graph.n, arcs, order)
+            if cost <= bound:
+                _offer(best, cost, m)
     else:
         shapes = [
-            _shape(graph.n, arcs, mode) for arcs in _acyclic_arc_lists(graph)
+            _shape(graph.n, arcs, order, mode)
+            for arcs, order in _acyclic_arc_lists(graph)
         ]
         orientations = len(shapes)
         for total in range(0, bound + 1):
@@ -152,7 +163,10 @@ def _offer(best: list[int | None], cost: int, label_sum: int) -> None:
 
 
 def _acyclic_arc_lists(graph: Graph):
-    """All acyclic orientations, by trying every code and topo-sorting."""
+    """All acyclic orientations, by trying every code and topo-sorting,
+    each as ``(arcs, order)``: ``order`` pops the smallest ready vertex
+    first and keeps only the vertices with out-arcs, which is the order
+    they fire in."""
     n, edges = graph.n, graph.edges
     for code in range(1 << graph.m):
         arcs = [
@@ -164,17 +178,21 @@ def _acyclic_arc_lists(graph: Graph):
         for t, h in arcs:
             indeg[h] += 1
             out[t].append(h)
-        queue = [v for v in range(n) if indeg[v] == 0]
+        # built in ascending order, so already a heap
+        ready = [v for v in range(n) if indeg[v] == 0]
+        order = []
         seen = 0
-        while queue:
-            v = queue.pop()
+        while ready:
+            v = heappop(ready)
             seen += 1
+            if out[v]:
+                order.append(v)
             for h in out[v]:
                 indeg[h] -= 1
                 if indeg[h] == 0:
-                    queue.append(h)
+                    heappush(ready, h)
         if seen == n:
-            yield arcs
+            yield arcs, order
 
 
 def _needed(demand: int, mode: Mode) -> int:
@@ -189,36 +207,20 @@ def _needed(demand: int, mode: Mode) -> int:
     return demand
 
 
-def _brush_cost(n: int, arcs: list[tuple[int, int]]) -> int:
+def _brush_cost(
+    n: int, arcs: list[tuple[int, int]], order: list[int]
+) -> int:
     """Simulate anonymous tokens, topping up whatever a firing lacks."""
-    out_arcs: list[list[int]] = [[] for _ in range(n)]
-    in_arcs: list[list[int]] = [[] for _ in range(n)]
-    for i, (t, h) in enumerate(arcs):
-        out_arcs[t].append(i)
-        in_arcs[h].append(i)
-    done = [False] * len(arcs)
+    heads: list[list[int]] = [[] for _ in range(n)]
+    for t, h in arcs:
+        heads[t].append(h)
     tokens = [0] * n
     cost = 0
-    while True:
-        v = _smallest_ready(n, arcs, out_arcs, in_arcs, done)
-        if v is None:
-            return cost
-        todo = [i for i in out_arcs[v] if not done[i]]
-        lack = max(0, len(todo) - tokens[v])
-        cost += lack
-        tokens[v] += lack - len(todo)
-        for i in todo:
-            done[i] = True
-            tokens[arcs[i][1]] += 1
-
-
-def _smallest_ready(n, arcs, out_arcs, in_arcs, done) -> int | None:
-    for v in range(n):
-        if all(done[i] for i in in_arcs[v]) and any(
-            not done[i] for i in out_arcs[v]
-        ):
-            return v
-    return None
+    for v in order:
+        cost += max(0, len(heads[v]) - tokens[v])
+        for h in heads[v]:
+            tokens[h] += 1
+    return cost
 
 
 def _capped_counts(caps: list[int], total: int):
@@ -251,22 +253,23 @@ class _Shape(NamedTuple):
 
     arcs: list[tuple[int, int]]
     out_arcs: list[list[int]]
-    in_arcs: list[list[int]]
+    # the vertices with out-arcs, in firing order
+    order: list[int]
     caps: list[int]
     # the least label sum any run on this orientation can reach
     floor: int
 
 
-def _shape(n: int, arcs: list[tuple[int, int]], mode: Mode) -> _Shape:
+def _shape(
+    n: int, arcs: list[tuple[int, int]], order: list[int], mode: Mode
+) -> _Shape:
     out_arcs: list[list[int]] = [[] for _ in range(n)]
-    in_arcs: list[list[int]] = [[] for _ in range(n)]
-    for i, (t, h) in enumerate(arcs):
+    for i, (t, _) in enumerate(arcs):
         out_arcs[t].append(i)
-        in_arcs[h].append(i)
     caps = [_needed(len(out_arcs[v]), mode) for v in range(n)]
     prefix = _cheapest_distinct_weights(mode)
     floor = sum(prefix[len(out_arcs[v])] for v in range(n))
-    return _Shape(arcs, out_arcs, in_arcs, caps, floor)
+    return _Shape(arcs, out_arcs, order, caps, floor)
 
 
 def _search_level(
@@ -279,8 +282,7 @@ def _search_level(
     total: int,
 ) -> None:
     """Run the DFS from every allocation of exactly ``total`` primaries."""
-    arcs, out_arcs, in_arcs, caps, _ = shape
-    for plan in _capped_counts(caps, total):
+    for plan in _capped_counts(shape.caps, total):
         present = [0] * n
         fresh = 1
         if policy is Policy.SMALLEST:
@@ -291,21 +293,8 @@ def _search_level(
                 present[v] = ((1 << k) - 1) << (fresh - 1)
                 fresh += k
         _dfs(
-            n,
-            arcs,
-            out_arcs,
-            in_arcs,
-            mode,
-            policy,
-            bound,
-            best,
-            [None] * len(arcs),
-            present,
-            [frozenset()] * n,
-            [frozenset()] * n,
-            total,
-            0,
-            fresh,
+            shape, mode, policy, bound, best,
+            present, [frozenset()] * n, total, 0, fresh, 0, shape.floor,
         )
 
 
@@ -319,45 +308,28 @@ def _submasks(mask: int) -> list[int]:
 
 
 def _dfs(
-    n,
-    arcs,
-    out_arcs,
-    in_arcs,
-    mode,
-    policy,
-    bound,
-    best,
-    labels,
-    present,
-    blends,
-    used,
-    cost,
-    ssum,
-    fresh,
+    shape, mode, policy, bound, best,
+    present, blends, cost, ssum, fresh, depth, floor,
 ) -> None:
+    """Fire ``shape.order[depth]``; ``floor`` is the least weight the
+    out-arcs of it and every later vertex can carry."""
     if cost > bound:
         return
     if best[0] is not None and cost > best[0]:
         return
-    done = [s is not None for s in labels]
-    # untattooed out-arcs per vertex, and the least weight they can carry
-    left = [sum(1 for i in out_arcs[w] if not done[i]) for w in range(n)]
-    prefix = _cheapest_distinct_weights(mode)
-    all_floor = sum(prefix[t_w] for t_w in left)
     if best[0] is not None and cost == best[0]:
-        if ssum + all_floor >= best[1]:
+        if ssum + floor >= best[1]:
             return
-    v = _smallest_ready(n, arcs, out_arcs, in_arcs, done)
-    if v is None:
-        if all(done):
-            _offer(best, cost, ssum)
+    if depth == len(shape.order):
+        _offer(best, cost, ssum)
         return
-    todo = [i for i in out_arcs[v] if labels[i] is None]
+    v = shape.order[depth]
+    todo = shape.out_arcs[v]
     t = len(todo)
     old = present[v]
     arrived = blends[v]
-    rest_floor = all_floor - prefix[left[v]]
-    for extra in range(0, _needed(len(out_arcs[v]), mode) + 1):
+    rest_floor = floor - _cheapest_distinct_weights(mode)[t]
+    for extra in range(0, shape.caps[v] + 1):
         if cost + extra > bound:
             break
         if best[0] is not None and cost + extra > best[0]:
@@ -371,7 +343,6 @@ def _dfs(
             for b in arrived:
                 if b & ~held:
                     pool.append(b)
-        pool = [c for c in pool if c not in used[v]]
         pool.sort(key=_mask_weight)
         if len(pool) < t:
             continue
@@ -390,36 +361,21 @@ def _dfs(
                 and ssum + add + rest_floor >= best[1]
             ):
                 continue
-            for order in permutations(chosen):
-                new_labels = list(labels)
+            for assigned in permutations(chosen):
                 new_present = list(present)
                 new_blends = list(blends)
-                new_used = list(used)
                 new_present[v] = held
-                new_used[v] = used[v] | frozenset(chosen)
-                for i, c in zip(todo, order):
-                    new_labels[i] = c
-                    h = arcs[i][1]
+                for i, c in zip(todo, assigned):
+                    h = shape.arcs[i][1]
                     if c & (c - 1) == 0:
                         new_present[h] = new_present[h] | c
                     else:
                         new_blends[h] = new_blends[h] | {c}
                 _dfs(
-                    n,
-                    arcs,
-                    out_arcs,
-                    in_arcs,
-                    mode,
-                    policy,
-                    bound,
-                    best,
-                    new_labels,
-                    new_present,
-                    new_blends,
-                    new_used,
-                    cost + extra,
-                    ssum + add,
+                    shape, mode, policy, bound, best,
+                    new_present, new_blends, cost + extra, ssum + add,
                     fresh + (extra if policy is Policy.FRESH else 0),
+                    depth + 1, rest_floor,
                 )
 
 

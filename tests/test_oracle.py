@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -57,15 +58,17 @@ def _reference_oracle(
     cost_bound: int | None = None,
 ) -> oracle.OracleResult:
     """Reference search order: one orientation at a time, every total
-    from 0 to the bound on each, over the module's own DFS."""
+    from 0 to the bound on each, over the reference DFS below."""
     m, n = graph.m, graph.n
     bound = m if cost_bound is None else cost_bound
     best = [None, None]
     orientations = 0
-    for arcs in oracle._acyclic_arc_lists(graph):
+    for arcs, _ in oracle._acyclic_arc_lists(graph):
         orientations += 1
         if mode is Mode.BRUSH:
-            oracle._offer(best, oracle._brush_cost(n, arcs), m)
+            cost = _reference_brush_cost(n, arcs)
+            if cost <= bound:
+                oracle._offer(best, cost, m)
             continue
         out_arcs = [[] for _ in range(n)]
         in_arcs = [[] for _ in range(n)]
@@ -83,7 +86,7 @@ def _reference_oracle(
                     else:
                         present[v] = ((1 << k) - 1) << (fresh - 1)
                         fresh += k
-                oracle._dfs(
+                _reference_dfs(
                     n, arcs, out_arcs, in_arcs, mode, policy, bound, best,
                     [None] * len(arcs), present, [frozenset()] * n,
                     [frozenset()] * n, total, 0, fresh,
@@ -99,6 +102,146 @@ def _reference_oracle(
         index=Fraction(m, cost * label_sum),
         orientations=orientations,
     )
+
+
+def _smallest_ready(n, arcs, out_arcs, in_arcs, done) -> int | None:
+    for v in range(n):
+        if all(done[i] for i in in_arcs[v]) and any(
+            not done[i] for i in out_arcs[v]
+        ):
+            return v
+    return None
+
+
+def _reference_brush_cost(n: int, arcs: list[tuple[int, int]]) -> int:
+    """Anonymous tokens, finding the next vertex to fire by rescanning."""
+    out_arcs = [[] for _ in range(n)]
+    in_arcs = [[] for _ in range(n)]
+    for i, (t, h) in enumerate(arcs):
+        out_arcs[t].append(i)
+        in_arcs[h].append(i)
+    done = [False] * len(arcs)
+    tokens = [0] * n
+    cost = 0
+    while True:
+        v = _smallest_ready(n, arcs, out_arcs, in_arcs, done)
+        if v is None:
+            return cost
+        todo = [i for i in out_arcs[v] if not done[i]]
+        lack = max(0, len(todo) - tokens[v])
+        cost += lack
+        tokens[v] += lack - len(todo)
+        for i in todo:
+            done[i] = True
+            tokens[arcs[i][1]] += 1
+
+
+def _reference_dfs(
+    n,
+    arcs,
+    out_arcs,
+    in_arcs,
+    mode,
+    policy,
+    bound,
+    best,
+    labels,
+    present,
+    blends,
+    used,
+    cost,
+    ssum,
+    fresh,
+) -> None:
+    """The oracle's DFS before it fired a fixed order: every node
+    rebuilds the tattooed arcs, the floor and the ready vertex from the
+    labels so far, and keeps the sets each vertex has sent."""
+    if cost > bound:
+        return
+    if best[0] is not None and cost > best[0]:
+        return
+    done = [s is not None for s in labels]
+    # untattooed out-arcs per vertex, and the least weight they can carry
+    left = [sum(1 for i in out_arcs[w] if not done[i]) for w in range(n)]
+    prefix = oracle._cheapest_distinct_weights(mode)
+    all_floor = sum(prefix[t_w] for t_w in left)
+    if best[0] is not None and cost == best[0]:
+        if ssum + all_floor >= best[1]:
+            return
+    v = _smallest_ready(n, arcs, out_arcs, in_arcs, done)
+    if v is None:
+        if all(done):
+            oracle._offer(best, cost, ssum)
+        return
+    todo = [i for i in out_arcs[v] if labels[i] is None]
+    t = len(todo)
+    old = present[v]
+    arrived = blends[v]
+    rest_floor = all_floor - prefix[left[v]]
+    for extra in range(0, oracle._needed(len(out_arcs[v]), mode) + 1):
+        if cost + extra > bound:
+            break
+        if best[0] is not None and cost + extra > best[0]:
+            break
+        granted = oracle._grant(old, policy, fresh, extra)
+        held = old | granted
+        if mode is Mode.FSG:
+            pool = [1 << b for b in range(held.bit_length()) if (held >> b) & 1]
+        else:
+            pool = oracle._submasks(held)
+            for b in arrived:
+                if b & ~held:
+                    pool.append(b)
+        pool = [c for c in pool if c not in used[v]]
+        pool.sort(key=oracle._mask_weight)
+        if len(pool) < t:
+            continue
+        for chosen in combinations(pool, t):
+            refs = 0
+            add = 0
+            for c in chosen:
+                add += oracle._mask_weight(c)
+                if c not in arrived:
+                    refs |= c & ~old
+            if refs != granted:
+                continue
+            if (
+                best[0] is not None
+                and cost + extra == best[0]
+                and ssum + add + rest_floor >= best[1]
+            ):
+                continue
+            for order in permutations(chosen):
+                new_labels = list(labels)
+                new_present = list(present)
+                new_blends = list(blends)
+                new_used = list(used)
+                new_present[v] = held
+                new_used[v] = used[v] | frozenset(chosen)
+                for i, c in zip(todo, order):
+                    new_labels[i] = c
+                    h = arcs[i][1]
+                    if c & (c - 1) == 0:
+                        new_present[h] = new_present[h] | c
+                    else:
+                        new_blends[h] = new_blends[h] | {c}
+                _reference_dfs(
+                    n,
+                    arcs,
+                    out_arcs,
+                    in_arcs,
+                    mode,
+                    policy,
+                    bound,
+                    best,
+                    new_labels,
+                    new_present,
+                    new_blends,
+                    new_used,
+                    cost + extra,
+                    ssum + add,
+                    fresh + (extra if policy is Policy.FRESH else 0),
+                )
 
 
 class TestCorpus:
@@ -263,9 +406,10 @@ class TestOracleValues:
 
 
 class TestSearchOrder:
-    """Cost levels outermost, cut at the incumbent: the same answers as
-    searching one orientation at a time, and no root the DFS would
-    reject on entry."""
+    """Cost levels outermost, cut at the incumbent, one fixed firing
+    order per orientation: the same answers as searching one orientation
+    at a time with the rescanning reference DFS, and no root the DFS
+    would reject on entry."""
 
     @pytest.mark.parametrize("policy", list(Policy))
     @pytest.mark.parametrize("mode", list(Mode))
@@ -276,7 +420,7 @@ class TestSearchOrder:
             ), g.edges
 
     @pytest.mark.parametrize("policy", list(Policy))
-    @pytest.mark.parametrize("mode", (Mode.FSG, Mode.BLEND))
+    @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("spec", ["friendship:3,2", "wheel:3", "star:5"])
     def test_families_match_reference(self, spec, mode, policy):
         g = family(spec)
@@ -284,7 +428,7 @@ class TestSearchOrder:
             g, mode, policy
         )
 
-    @pytest.mark.parametrize("mode", (Mode.FSG, Mode.BLEND))
+    @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("spec", ["cycle:4", "star:5", "wheel:3"])
     def test_cost_bound_at_and_below_the_optimum(self, spec, mode):
         g = family(spec)
@@ -300,10 +444,10 @@ class TestSearchOrder:
         prefix = oracle._cheapest_distinct_weights(Mode.BLEND)
 
         def recording(*args):
-            _, _, out_arcs, _, _, _, _, best, labels = args[:9]
-            cost = args[12]
-            if all(s is None for s in labels):
-                floor = sum(prefix[len(out)] for out in out_arcs)
+            shape, _, _, _, best = args[:5]
+            cost, depth = args[7], args[10]
+            if depth == 0:
+                floor = sum(prefix[len(out)] for out in shape.out_arcs)
                 roots.append((cost, floor, best[0], best[1]))
             return dfs(*args)
 
@@ -317,3 +461,51 @@ class TestSearchOrder:
             assert cost <= best_cost
             if cost == best_cost:
                 assert floor < best_sum
+
+    def test_firing_order_is_lexicographic_topological(self):
+        # the smallest ready vertex first, sinks left out (they never fire)
+        nx = pytest.importorskip("networkx")
+        graphs = list(connected_graph_corpus(5)) + [
+            family(s) for s in ("friendship:3,2", "wheel:3", "star:5")
+        ]
+        for g in graphs:
+            for arcs, order in oracle._acyclic_arc_lists(g):
+                d = nx.DiGraph(arcs)
+                want = [
+                    v
+                    for v in nx.lexicographical_topological_sort(d)
+                    if d.out_degree(v)
+                ]
+                assert order == want, arcs
+
+
+class TestIndependence:
+    def test_only_mode_policy_and_graph_come_from_the_package(self):
+        """The oracle shares no search or engine code: a bug would have
+        to be written twice to pass both."""
+        homes = {}
+        for name, obj in vars(oracle).items():
+            if name.startswith("__"):
+                continue
+            home = (
+                obj.__name__
+                if inspect.ismodule(obj)
+                else getattr(obj, "__module__", None)
+            )
+            if home:
+                homes[name] = home
+        foreign = {
+            name: home
+            for name, home in homes.items()
+            if home.split(".")[0] == "tattooing" and home != oracle.__name__
+        }
+        assert foreign == {
+            "Mode": "tattooing.engine",
+            "Policy": "tattooing.engine",
+            "Graph": "tattooing.graphs",
+        }
+        assert not [
+            name
+            for name, home in homes.items()
+            if home.split(".")[0] == "networkx"
+        ]
