@@ -4,8 +4,9 @@ An orientation is an integer code: bit ``i`` set flips edge ``i`` to
 high-to-low.  :func:`collect_acyclic_orientation_bits` lists the codes
 of the acyclic ones in ascending order, by a recursive scan over
 per-vertex reachability masks, optionally only those under a
-per-vertex cost bound; :func:`count_acyclic_orientations` counts them
-all with the same scan, memoised.
+per-vertex cost bound or, without a limit, those of the least bound;
+:func:`count_acyclic_orientations` counts them all with the same scan,
+memoised.
 """
 
 from __future__ import annotations
@@ -265,14 +266,18 @@ def collect_acyclic_orientation_bits(
     ``bounds[v][out]``, nondecreasing in ``out``, is vertex ``v``'s
     share of an orientation's bound when ``out`` of its edges leave it;
     it defaults to zero.  With a ``limit``, only the codes whose bound
-    is at most ``limit`` are listed.  Every undecided edge can still
-    leave either end, so the sum of the shares at the decided
-    out-degrees bounds every completion of a partial orientation, and
-    the scan cuts a branch once that sum reaches the least bound above
-    ``limit`` of any leaf seen so far; it lists nothing in a branch
-    above ``limit``, but goes into it while it can still lower that
-    least bound.  ``beyond``, if given, receives the least bound above
-    ``limit`` of any acyclic orientation, when there is one.
+    is at most ``limit`` are listed; without one, only the codes of the
+    least bound, which with the default bounds is every code.  Every
+    undecided edge can still leave either end, so the sum of the shares
+    at the decided out-degrees bounds every completion of a partial
+    orientation, and the scan cuts a branch once that sum reaches the
+    least bound above ``limit`` of any leaf seen so far; it lists
+    nothing in a branch above ``limit``, but goes into it while it can
+    still lower that least bound.  Without a limit, the least bound of
+    a leaf seen so far stands for ``limit``: a lower leaf drops the
+    codes listed so far, and their bound becomes the least above it.
+    ``beyond``, if given, receives the least bound above ``limit`` of
+    any acyclic orientation, when there is one.
 
     ``check``, if given, is called at the first scan node and every
     256th after it, and may raise to abandon the listing, as a search's
@@ -288,8 +293,9 @@ def collect_acyclic_orientation_bits(
         ((u, v, 0, steps[u]), (v, u, 1 << e, steps[v]))
         for e, (u, v) in enumerate(edges)
     ]
+    # the highest bound listed; without a limit, the least seen so far
     top = inf if limit is None else limit
-    # the least bound over the limit found so far: every branch at least
+    # the least bound over top found so far: every branch at least
     # this high is cut, and no listed code is
     above = inf
     outdeg = [0] * n
@@ -298,7 +304,7 @@ def collect_acyclic_orientation_bits(
 
     def scan(e: int, bits: int, reach: list[int], bound: int) -> None:
         """Orient edge ``e`` both ways, then edges ``e - 1 .. 0``."""
-        nonlocal above, nodes
+        nonlocal above, top, nodes
         nodes += 1
         if check is not None and nodes % 256 == 1:
             check()
@@ -319,6 +325,11 @@ def collect_acyclic_orientation_bits(
                     grown,
                 )
                 outdeg[t] = ot
+            elif grown < top and limit is None:
+                # every leaf seen so far has a bound of at least top
+                above, top = top, grown
+                del out[:]
+                out.append(bits | flip)
             elif grown <= top:
                 out.append(bits | flip)
             else:

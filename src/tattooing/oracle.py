@@ -312,11 +312,9 @@ def _dfs(
     present, blends, cost, ssum, fresh, depth, floor,
 ) -> None:
     """Fire ``shape.order[depth]``; ``floor`` is the least weight the
-    out-arcs of it and every later vertex can carry."""
-    if cost > bound:
-        return
-    if best[0] is not None and cost > best[0]:
-        return
+    out-arcs of it and every later vertex can carry.  ``cost`` is within
+    ``bound`` and not above the incumbent's: the caller and the
+    ``extra`` loop below both see to it."""
     if best[0] is not None and cost == best[0]:
         if ssum + floor >= best[1]:
             return

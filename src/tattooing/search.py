@@ -14,12 +14,12 @@ always meets the bound, and every token weighs one.
 The orientations of a level are listed by a scan that cuts a branch
 once the bound of its decided edges passes ``c``
 (:func:`~tattooing.graphs.collect_acyclic_orientation_bits`), so the
-orientations above the final cost are never listed.  Each listing also
-gives the least bound it left out: the loop skips levels that would be
-empty and reuses a listing for as long as no further orientation comes
-under the target.  The number of orientations the report gives is
-counted without listing them
-(:func:`~tattooing.graphs.count_acyclic_orientations`).
+orientations above the final cost are never listed.  The first listing
+is the least level, and each listing also gives the least bound it
+left out, so no level the loop lists is empty, and a listing and its
+isomorphism classes serve every level up to the next bound.  The
+number of orientations the report gives is counted without listing
+them (:func:`~tattooing.graphs.count_acyclic_orientations`).
 
 A vertex fires once, as soon as every in-arc is tattooed, so each run
 fires the vertices of its orientation in a topological order.  The
@@ -428,7 +428,6 @@ class _Searcher:
         self.graph = graph
         self.mode = mode
         self.policy = policy
-        self.limits = limits
         self.clock = _Clock(limits.time_budget)
         adj = graph.adjacency()
         self.prefix = _cheap_prefix(mode, max(len(a) for a in adj))
@@ -555,24 +554,27 @@ class _Searcher:
 
     def run_fixed(self, code: int) -> IndexReport:
         """The same optimum restricted to one orientation."""
-        # a lone orientation is its own class representative
-        self._iso_rep[code] = code
+        return self._solve(((c, [code]) for c in count(self._bound(code))), 1)
+
+    def _bound(self, code: int) -> int:
+        """The cost bound of one orientation."""
         d = orient(self.graph, code)
-        bound = sum(
+        return sum(
             share[d.out_degree(v)] for v, share in enumerate(self.bounds)
         )
-        return self._solve(((c, [code]) for c in count(bound)), 1)
 
     def _levels(self) -> Iterator[tuple[int, Sequence[int]]]:
-        """``(c, codes)`` for each target cost ``c`` from the least bound
-        up, ``codes`` being the orientations whose bound is at most
-        ``c``, ascending.
+        """``(c, reps)`` for each target cost ``c`` from the least bound
+        up, ``reps`` being the least code of each isomorphism class of
+        the orientations whose bound is at most ``c``, ascending.  BRUSH
+        takes the least code of the least level, so there ``reps`` is
+        every such code.
 
-        Each listing also gives the least bound of the codes it left
-        out, so a level that would list no more codes reuses the last
-        listing, and an empty one is skipped.
+        The first listing is the least level.  Each listing also gives
+        the least bound of the codes it left out, so its classes serve
+        every level below that bound.
         """
-        c = sum(share[0] for share in self.bounds)  # no edge decided
+        c = None
         while True:
             beyond: list[int] = []
             codes = collect_acyclic_orientation_bits(
@@ -582,14 +584,18 @@ class _Searcher:
                 limit=c,
                 beyond=beyond,
             )
-            # the least bound of a code left out; a graph always has an
-            # acyclic orientation, so an empty listing leaves one out
+            if c is None:
+                c = self._bound(codes[0])
+            reps = codes
+            if self.mode is not Mode.BRUSH:
+                reps = []
+                for code in codes:
+                    self.clock.tick()
+                    if self._rep_for(code) == code:
+                        reps.append(code)
             nxt = beyond[0] if beyond else inf
-            if not codes:
-                c = nxt
-                continue
             while c < nxt:
-                yield c, codes
+                yield c, reps
                 c += 1
 
     def _solve(
@@ -598,9 +604,10 @@ class _Searcher:
         total: int,
         workers: int = 1,
     ) -> IndexReport:
-        """Least cost, then least label sum, over the orientations of
+        """Least cost, then least label sum, over the representatives of
         ``levels`` (see :meth:`_levels`), replayed once; ``total`` is
         the number of orientations the report says were searched."""
+        global _worker
         if self.mode is Mode.BRUSH:
             # a token run always meets the bound, and tokens weigh one
             c, codes = next(levels)
@@ -609,12 +616,7 @@ class _Searcher:
             return self._report(out, total)
         pool, size = None, 1
         try:
-            for c, codes in levels:
-                reps = []
-                for code in codes:
-                    self.clock.tick()
-                    if self._rep_for(code) == code:
-                        reps.append(code)
+            for c, reps in levels:
                 # levels only grow: a pool starts at the first level
                 # with two representatives and is replaced only by a
                 # level that can keep more workers busy, so no pool
@@ -628,6 +630,7 @@ class _Searcher:
                 if best["S"] is not None:
                     break
         finally:
+            _worker = None
             if pool is not None:
                 pool.terminate()
         witness = self._events_to_witness(
@@ -637,19 +640,12 @@ class _Searcher:
         return self._report(out, total)
 
     def _start_pool(self, size: int):
-        """A pool of ``size`` workers, each of which builds one searcher
-        and keeps it for every level the pool serves."""
-        remaining = None
-        if self.clock.deadline is not None:
-            remaining = max(0.1, self.clock.deadline - time.monotonic())
-        limits = SearchLimits(
-            max_edges=self.limits.max_edges, time_budget=remaining
-        )
-        return _mp_context().Pool(
-            size,
-            initializer=_init_worker,
-            initargs=(self.graph, self.mode, self.policy, limits),
-        )
+        """A pool of ``size`` workers forked from this process, so that
+        each inherits this searcher, its deadline and its pool cache
+        included, and keeps it for every level the pool serves."""
+        global _worker
+        _worker = self
+        return _mp_context().Pool(size)
 
     def _search_level(
         self, budget: int, reps: list[int], pool, size: int
@@ -928,15 +924,8 @@ def _mp_context():
     return multiprocessing.get_context("fork")
 
 
-# the searcher of a pool worker, built once by _init_worker
+# the searcher that a running pool's workers inherit when forked
 _worker: _Searcher | None = None
-
-
-def _init_worker(
-    graph: Graph, mode: Mode, policy: Policy, limits: SearchLimits
-) -> None:
-    global _worker
-    _worker = _Searcher(graph, mode, policy, limits)
 
 
 def _exhaust_chunk(args):

@@ -1,0 +1,87 @@
+"""Digests of the search's outputs, to check a change that must keep them.
+
+Run ``PYTHONPATH=src python tests/identity.py`` in a checkout of the
+change and in one of its parent, and compare what they print.  Each line
+is the sha256 of one part of the identity set, over the JSON documents
+of its reports (witnesses included, as the search golden writes them):
+
+* ``corpus``: ``best_index`` on ``connected_graph_corpus(6)``;
+* ``fixed``: ``best_index_for_orientation`` on every acyclic orientation
+  of ``connected_graph_corpus(5)``;
+* ``families``: ``best_index`` with two workers on the families of the
+  search golden;
+
+each in every mode and under every policy.  Pytest does not collect this
+file, as its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from functools import partial
+
+from test_search_golden import FAMILIES, LIMITS, _report_doc
+
+from tattooing.engine import Mode, Policy
+from tattooing.graphs import (
+    Graph,
+    build_family,
+    collect_acyclic_orientation_bits,
+    orient,
+    parse_family_spec,
+)
+from tattooing.oracle import connected_graph_corpus
+from tattooing.search import best_index, best_index_for_orientation
+
+
+def _label(graph: Graph) -> str:
+    return "-".join(f"{u}{v}" for u, v in graph.edges)
+
+
+def corpus() -> list:
+    return [
+        (_label(g), partial(best_index, g)) for g in connected_graph_corpus(6)
+    ]
+
+
+def fixed() -> list:
+    return [
+        (
+            f"{_label(g)} {code}",
+            partial(best_index_for_orientation, orient(g, code)),
+        )
+        for g in connected_graph_corpus(5)
+        for code in collect_acyclic_orientation_bits(g)
+    ]
+
+
+def families() -> list:
+    cases = []
+    for spec in FAMILIES:
+        g = build_family(parse_family_spec(spec))
+        cases.append((spec, partial(best_index, g, workers=2)))
+    return cases
+
+
+def digest(cases: list) -> tuple[int, str]:
+    """Number of reports and the sha256 of their documents; each case is
+    a key and a search to call with a mode, a policy and limits."""
+    docs = [
+        [
+            f"{key} {mode.value} {policy.value}",
+            _report_doc(run(mode, policy, LIMITS)),
+        ]
+        for key, run in cases
+        for mode in Mode
+        for policy in Policy
+    ]
+    text = json.dumps(docs, sort_keys=True)
+    return len(docs), hashlib.sha256(text.encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    for part in (corpus, fixed, families):
+        size, sha = digest(part())
+        sys.stdout.write(f"{part.__name__} {size} {sha}\n")

@@ -945,10 +945,8 @@ class _InlineContext:
     def __init__(self):
         self.sizes = []
 
-    def Pool(self, size, initializer=None, initargs=()):
+    def Pool(self, size):
         self.sizes.append(size)
-        if initializer is not None:
-            initializer(*initargs)
         return self
 
     def terminate(self):
@@ -986,8 +984,6 @@ class TestWorkerCap:
         monkeypatch.setattr(
             multiprocessing, "get_context", lambda method: context
         )
-        # the pool initializer runs here, so restore its global after
-        monkeypatch.setattr(search, "_worker", None)
         code, out, err = run(capsys, *argv, "--workers", "64")
         assert code == 0, err
         assert context.sizes == sizes

@@ -444,18 +444,19 @@ class TestSearchOrder:
         prefix = oracle._cheapest_distinct_weights(Mode.BLEND)
 
         def recording(*args):
-            shape, _, _, _, best = args[:5]
+            shape, _, _, bound, best = args[:5]
             cost, depth = args[7], args[10]
             if depth == 0:
                 floor = sum(prefix[len(out)] for out in shape.out_arcs)
-                roots.append((cost, floor, best[0], best[1]))
+                roots.append((cost, bound, floor, best[0], best[1]))
             return dfs(*args)
 
         monkeypatch.setattr(oracle, "_dfs", recording)
         for g in connected_graph_corpus(6)[40:52]:
             oracle_invariants(g, Mode.BLEND)
         assert roots
-        for cost, floor, best_cost, best_sum in roots:
+        for cost, bound, floor, best_cost, best_sum in roots:
+            assert cost <= bound
             if best_cost is None:
                 continue
             assert cost <= best_cost

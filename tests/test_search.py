@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing.pool
+import time
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from types import SimpleNamespace
@@ -601,15 +603,48 @@ class TestLowerBounds:
             bounds = searcher.bounds
             codes = collect_acyclic_orientation_bits(graph)
             want = {code: self.direct(graph, code, mode) for code in codes}
-            # from the bound of the empty orientation up to the largest
-            for c in range(sum(s[0] for s in bounds), max(want.values()) + 1):
+            least = min(want.values())
+            # no limit, which lists the least level, then every limit from
+            # the bound of the empty orientation up to the largest bound
+            limits = range(sum(s[0] for s in bounds), max(want.values()) + 1)
+            for limit in [None, *limits]:
+                c = least if limit is None else limit
                 beyond: list[int] = []
                 listed = collect_acyclic_orientation_bits(
-                    graph, bounds=bounds, limit=c, beyond=beyond
+                    graph, bounds=bounds, limit=limit, beyond=beyond
                 )
                 assert list(listed) == [x for x in codes if want[x] <= c]
                 rest = [b for b in want.values() if b > c]
                 assert beyond == ([min(rest)] if rest else [])
+
+    @staticmethod
+    def record_limits(monkeypatch) -> list:
+        """Record the ``limit`` of every listing the search makes."""
+        limits = []
+        real = search.collect_acyclic_orientation_bits
+
+        def listing(*args, **kwargs):
+            limits.append(kwargs.get("limit"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "collect_acyclic_orientation_bits", listing)
+        return limits
+
+    def test_brush_lists_only_the_least_level(self, monkeypatch):
+        limits = self.record_limits(monkeypatch)
+        best_index(family("joost:4,6"), Mode.BRUSH, limits=NO_CAP)
+        assert limits == [None]
+
+    @pytest.mark.parametrize("mode", [Mode.FSG, Mode.BLEND])
+    def test_each_listing_once(self, monkeypatch, mode):
+        # the first listing is the least level, and no later limit is
+        # listed twice or lies past the answer's cost
+        limits = self.record_limits(monkeypatch)
+        graph = family("friendship:3,4")
+        report = best_index(graph, mode, limits=NO_CAP)
+        assert limits[0] is None
+        assert limits[1:] == sorted(set(limits[1:]))
+        assert all(c <= report.cost for c in limits[1:])
 
 
 class _ReferenceClasses:
@@ -650,14 +685,20 @@ class TestLearnedOrbits:
 
     @staticmethod
     def check(graph: Graph, mode: Mode) -> None:
+        # the loop yields only representatives, so every code of a level
+        # is listed here and compared with the reference
         searcher = search._Searcher(graph, mode, Policy.SMALLEST, NO_CAP)
         reference = _ReferenceClasses(graph)
         last = best_index(graph, mode, limits=NO_CAP).cost
-        for c, under in searcher._levels():
+        for c, reps in searcher._levels():
             if c > last:
                 break
+            under = collect_acyclic_orientation_bits(
+                graph, bounds=searcher.bounds, limit=c
+            )
             got = {code: searcher._rep_for(code) for code in under}
             assert got == {code: reference._rep_for(code) for code in under}
+            assert reps == [code for code in under if got[code] == code]
 
     @pytest.mark.parametrize("mode", [Mode.FSG, Mode.BLEND])
     def test_corpus_matches_reference(self, mode):
@@ -698,6 +739,21 @@ class TestLearnedOrbits:
         calls = self.count_hashes(monkeypatch)
         best_index(family("friendship:3,5"), Mode.FSG, limits=NO_CAP)
         assert 0 < len(calls) < 100
+
+    def test_fixed_orientation_labels_nothing(self, monkeypatch):
+        # a lone orientation is searched as it is, with no class to find
+        hashed = self.count_hashes(monkeypatch)
+        graph = family("friendship:3,3")
+        searcher = search._Searcher(graph, Mode.FSG, Policy.SMALLEST, NO_CAP)
+        searcher.run_fixed(collect_acyclic_orientation_bits(graph)[-1])
+        assert searcher._iso_rep == {}
+        assert hashed == []
+
+    def test_brush_hashes_nothing(self, monkeypatch):
+        # BRUSH takes the least code of the least level, its own class's
+        hashed = self.count_hashes(monkeypatch)
+        best_index(family("joost:4,6"), Mode.BRUSH, limits=NO_CAP)
+        assert hashed == []
 
     def test_every_orbit_label_ticks(self, monkeypatch):
         # each code is labelled by its own hash or as an image, with a tick
@@ -808,17 +864,10 @@ class TestLimits:
             e.name == "count_acyclic_orientations" for e in raised.traceback
         )
 
-    def test_time_budget_covers_pruned_scan_that_lists_nothing(
-        self, monkeypatch
-    ):
-        # no orientation of joost:4,6 has a BRUSH bound of 0, so the
-        # first scan lists nothing; it still reads the clock at its
-        # first node and at its 257th, which passes the deadline
+    def test_time_budget_covers_first_scan(self, monkeypatch):
+        # the first scan, which lists the least level, reads the clock
+        # at its first node and at its 257th, which passes the deadline
         graph = family("joost:4,6")
-        searcher = search._Searcher(graph, Mode.BRUSH, Policy.SMALLEST, NO_CAP)
-        assert not collect_acyclic_orientation_bits(
-            graph, bounds=searcher.bounds, limit=0
-        )
         self.expire_at_third_reading(monkeypatch)
         real_count = search.count_acyclic_orientations
         monkeypatch.setattr(
@@ -826,22 +875,35 @@ class TestLimits:
             "count_acyclic_orientations",
             lambda graph, check=None: real_count(graph),
         )
-        limits = []
-        real = search.collect_acyclic_orientation_bits
-
-        def listing(*args, **kwargs):
-            limits.append(kwargs["limit"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(search, "collect_acyclic_orientation_bits", listing)
+        limits = TestLowerBounds.record_limits(monkeypatch)
         budget = SearchLimits(max_edges=30, time_budget=1.0)
         with pytest.raises(LimitError) as raised:
             best_index(graph, Mode.BRUSH, limits=budget)
-        assert limits == [0]
+        assert limits == [None]
         assert any(
             e.name == "collect_acyclic_orientation_bits"
             for e in raised.traceback
         )
+
+    def test_workers_keep_the_deadline(self, monkeypatch):
+        # the deadline has passed when the pool forks, so the workers
+        # stop: the least level of joost:4,6 blend has about 10
+        # representatives, so a pool starts there
+        real = search._Searcher._start_pool
+
+        def expired(self, size):
+            self.clock.deadline = time.monotonic() - 1.0
+            return real(self, size)
+
+        monkeypatch.setattr(search._Searcher, "_start_pool", expired)
+        with pytest.raises(LimitError) as raised:
+            best_index(
+                family("joost:4,6"), Mode.BLEND, limits=NO_CAP, workers=2
+            )
+        assert isinstance(
+            raised.value.__cause__, multiprocessing.pool.RemoteTraceback
+        )
+        assert search._worker is None
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_edge_limit_must_be_positive(self, limit):
