@@ -51,7 +51,7 @@ from typing import NamedTuple
 from tattooing.engine import Mode, Policy
 from tattooing.graphs import Graph
 
-MAX_ORACLE_EDGES = 6
+MAX_ORACLE_EDGES = 7
 
 # colour sets are bitmasks here: bit i stands for primary i + 1
 
@@ -103,7 +103,7 @@ def oracle_invariants(
 ) -> OracleResult:
     """Exhaustively minimise (cost, label sum) for one graph and mode.
 
-    Refuses graphs with more than six edges.  ``cost_bound`` caps the
+    Refuses graphs with more than seven edges.  ``cost_bound`` caps the
     cost of the runs considered, in every mode: the primaries allocated
     and granted in FSG and BLEND, the tokens topped up in BRUSH.  It
     defaults to the edge count, which is always enough: tattooing from

@@ -36,6 +36,19 @@ and recurses on step ``k + 1`` with only colour state carried.  This
 loses nothing: a vertex fires exactly once, and what it can dispatch
 depends only on its arrivals, not on when unrelated vertices fired.
 
+The depth-first search cuts a branch on two admissible bounds:
+
+* Cost: the cost so far plus, for each vertex still to fire, the
+  primaries its out-degree needs beyond the colours that can still
+  reach it, against the target ``c``.
+* Label sum: the label sum so far plus a floor of the least weight of
+  out-degree distinct sets for each vertex still to fire, against the
+  best sum found.  Until a vertex's last in-arc is tattooed, its share
+  is the cheapest any pool could offer.  From then on its colours are
+  final, and its share is the cheapest in the best pool it can still
+  reach within ``c``; if that pool is too small, the branch has no
+  completion and is cut at once.
+
 Under the SMALLEST policy the search works purely with firing-time
 augmentation; an initial allocation at a vertex behaves exactly like
 augmenting the same count at its first firing, and the reported
@@ -354,9 +367,14 @@ class _Orientation:
     outside their own closure other than from v.  Each arc of a class
     takes a pool set later than the one before it.  FRESH numbering
     depends on global firing order, so every class is a singleton there.
+
+    ``closing[k]`` lists ``(w, out-degree of w)`` for the firing
+    vertices ``w`` whose last in-arc is tattooed by the firing at depth
+    ``k - 1``; ``closing[0]`` lists the sources.  From depth ``k`` on
+    their colours are final.
     """
 
-    __slots__ = ("digraph", "need_out", "floor", "steps")
+    __slots__ = ("digraph", "need_out", "floor", "steps", "closing")
 
     def __init__(
         self,
@@ -418,6 +436,11 @@ class _Orientation:
                 else:
                     follows.append(-1)
             self.steps.append((v, live, sinks, follows))
+        depth = {v: k for k, v in enumerate(firing)}
+        self.closing = [[] for _ in range(len(firing) + 1)]
+        for v in firing:
+            last = max((depth[d.tail(i)] for i in d.in_arcs(v)), default=-1)
+            self.closing[last + 1].append((v, d.out_degree(v)))
 
 
 class _Searcher:
@@ -717,28 +740,77 @@ class _Searcher:
         bounds: ``cost + lb_rem`` against the budget, and the label sum
         so far plus the floor (or the cheapest sets still to place)
         against the incumbent.
+
+        The floor charges a vertex still to fire ``prefix[out-degree]``,
+        the cheapest distinct sets any pool could offer, until the vertex
+        closes (its last in-arc is tattooed, ``closing``).  From then on
+        its held primaries and arrived blends are final, and its share is
+        the least weight of out-degree distinct sets in the best pool it
+        can still reach: ``held | grant`` with the largest grant the
+        budget allows, ``min(need_out, budget - cost)``, plus its arrived
+        blends.  The share less ``prefix[out-degree]`` is its ``rise``,
+        written at its closing depth and read only below it; ``lift``,
+        the rises of the closed vertices still to fire, is carried down
+        as ``lb_rem`` is.  A closed vertex whose best pool has too few
+        sets has no completion, so its branch is cut at once; no rise
+        is ever infinite.
+
+        The share is admissible under both policies.  Costs only rise,
+        so the grant at the vertex's firing has at most the count used
+        here.  Under SMALLEST a grant is the lowest bits ``held`` lacks,
+        so a smaller grant is a subset of the larger one, and so is its
+        pool.  Under FRESH a grant is bits numbered from the ``fresh``
+        counter up, and the counter only grows.  Every bit issued so far
+        is below the current counter, so the bits of a later grant are in
+        no held set and no arrived blend.  Sending the later grant's bits,
+        in order, onto the bits from the current counter up fixes every
+        arrived blend and maps the later pool one to one into the pool
+        used here, with no set heavier.  So neither a smaller grant nor a
+        later counter gives a cheaper choice of distinct sets.
         """
         o = _Orientation(self.graph, code, self.mode, self.policy, self.prefix)
         need_out, floor, steps = o.need_out, o.floor, o.steps
-        arcs = o.digraph.arcs
+        arcs, closing, prefix = o.digraph.arcs, o.closing, self.prefix
         tick, policy, pool_for = self.clock.tick, self.policy, self._pool_for
+        rise = [0] * self.graph.n
 
-        def dfs(k, present, blends, avail, lb_rem, cost, ssum, fresh, events):
-            tick()
+        def close(ws, present, blends, cost, fresh, room):
+            """Write the rise of each newly closed vertex in ``ws`` and
+            return their total, or inf if one has no pool large enough.
+            Stop early once the total reaches ``room``: the branch is cut
+            then, and no rise left unwritten is read."""
+            total = 0
+            for w, t in ws:
+                if total >= room:
+                    break
+                held = present[w]
+                grant = _grant_mask(
+                    held, policy, fresh, min(need_out[w], budget - cost)
+                )
+                pool, _, cheapest = pool_for(held | grant, blends[w])
+                if len(pool) < t:
+                    return inf
+                rise[w] = cheapest[t] - prefix[t]
+                total += rise[w]
+            return total
+
+        def dfs(
+            k, present, blends, avail, lb_rem, lift, cost, ssum, fresh, events
+        ):
             if cost + lb_rem > budget:
                 return
-            if best["S"] is not None and ssum + floor[k] >= best["S"]:
-                return
             if k == len(steps):
-                # every arc is tattooed, so the floor is 0 and the check
-                # above has made this a strict improvement
+                # every arc is tattooed, so the floor is 0 and the cut
+                # before this call has made this a strict improvement
                 best.update(S=ssum, code=code, events=events, plan=plan)
                 return
             v, live, sinks, follows = steps[k]
             old, arrived = present[v], blends[v]
             lb_others = lb_rem - max(0, need_out[v] - avail[v])
             todo = len(live) + len(sinks)
-            bound_base = ssum + floor[k + 1]
+            # v's own share is charged in place, by the sets it takes
+            lift_others = lift - rise[v]
+            bound_base = ssum + floor[k + 1] + lift_others
             picks = [0] * len(live)
 
             def place(pos: int, add: int) -> None:
@@ -769,6 +841,8 @@ class _Searcher:
                         refs |= pool[pi] & ~old
                 if refs != granted:
                     return
+                # a child: one unit of work, whether cut or searched
+                tick()
                 new_present, new_blends = list(present), list(blends)
                 new_avail, new_lb = list(avail), lb_others
                 # colours are read only at heads that fire later
@@ -785,6 +859,16 @@ class _Searcher:
                         # which raises its share of the bound if positive
                         new_lb += need_out[h] >= new_avail[h]
                         new_avail[h] -= 1
+                # what the newly closed vertices may add before the cut
+                room = (
+                    inf if best["S"] is None else best["S"] - bound_base - add
+                )
+                raised = close(
+                    closing[k + 1], new_present, new_blends, cost + extra,
+                    fresh + extra, room,
+                )
+                if raised >= room:
+                    return
                 assignment = sorted(
                     (i, pool[pi]) for i, pi in zip(live + sinks, all_picks)
                 )
@@ -794,6 +878,7 @@ class _Searcher:
                     new_blends,
                     new_avail,
                     new_lb,
+                    lift_others + raised,
                     cost + extra,
                     ssum + add,
                     fresh + extra,  # read only under FRESH
@@ -814,13 +899,21 @@ class _Searcher:
             starts = [((), [0] * n, 1, 0)]
         else:
             starts = self._fresh_starts(o, budget)
+        blends0 = [frozenset()] * n
         for plan, present0, fresh0, cost0 in starts:
+            tick()
             avail = [
                 bin(p).count("1") + o.digraph.in_degree(v)
                 for v, p in enumerate(present0)
             ]
             lb_rem = sum(max(0, need - a) for need, a in zip(need_out, avail))
-            dfs(0, present0, [frozenset()] * n, avail, lb_rem, cost0, 0, fresh0, [])
+            room = inf if best["S"] is None else best["S"] - floor[0]
+            lift = close(closing[0], present0, blends0, cost0, fresh0, room)
+            if lift >= room:
+                continue
+            dfs(
+                0, present0, blends0, avail, lb_rem, lift, cost0, 0, fresh0, []
+            )
 
     def _fresh_starts(self, o: _Orientation, budget: int):
         """Initial allocation count vectors for the FRESH policy."""

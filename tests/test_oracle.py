@@ -20,8 +20,8 @@ from tattooing.graphs import (
 )
 from tattooing.oracle import connected_graph_corpus, oracle_invariants
 
-# A002905: connected graphs with m edges, m = 1..6
-CONNECTED_BY_EDGES = {1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30}
+# A002905: connected graphs with m edges, m = 1..7
+CONNECTED_BY_EDGES = {1: 1, 2: 1, 3: 3, 4: 5, 5: 12, 6: 30, 7: 79}
 
 # sha256 of repr([(g.n, g.edges) for g in connected_graph_corpus(6)]);
 # the oracle-xcheck benchmark indexes its reference pairs by position
@@ -302,7 +302,7 @@ class TestCorpus:
         with pytest.raises(ValueError):
             connected_graph_corpus(0)
         with pytest.raises(ValueError):
-            connected_graph_corpus(7)
+            connected_graph_corpus(8)
 
     def test_pairwise_non_isomorphic(self):
         nx = pytest.importorskip("networkx")
@@ -315,20 +315,32 @@ class TestCorpus:
         nx = pytest.importorskip("networkx")
         from networkx.generators.atlas import graph_atlas_g
 
-        # a connected graph with at most 6 edges has at most 7 vertices,
-        # and the atlas lists every graph on up to 7 vertices
+        # a connected graph with at most 7 edges has at most 8 vertices.
+        # The atlas lists every graph on up to 7 vertices; on 8 vertices
+        # such a graph is a tree
         atlas = [
             g
             for g in graph_atlas_g()
-            if 1 <= g.number_of_edges() <= 6
+            if 1 <= g.number_of_edges() <= 7
             and g.number_of_nodes() >= 1
             and nx.is_connected(g)
-        ]
-        corpus = connected_graph_corpus(6)
+        ] + list(nx.nonisomorphic_trees(8))
+        corpus = connected_graph_corpus(7)
         assert Counter(g.number_of_edges() for g in atlas) == (
             CONNECTED_BY_EDGES
         )
         assert Counter(g.m for g in corpus) == CONNECTED_BY_EDGES
+        # and each reference graph is one of the corpus's
+
+        def degrees(g):
+            return sorted(d for _, d in g.degree())
+
+        graphs = [nx.Graph(g.edges) for g in corpus]
+        for g in atlas:
+            assert any(
+                degrees(h) == degrees(g) and nx.is_isomorphic(g, h)
+                for h in graphs
+            )
 
 
 ORACLE_TABLE = [
@@ -392,7 +404,7 @@ class TestOracleValues:
 
     def test_refuses_large_graphs(self):
         with pytest.raises(ValueError):
-            oracle_invariants(family("cycle:7"), Mode.BLEND)
+            oracle_invariants(family("cycle:8"), Mode.BLEND)
 
     def test_unreachable_cost_bound(self):
         with pytest.raises(ValueError):

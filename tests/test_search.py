@@ -44,6 +44,7 @@ from tattooing.search import (
     ratio_set,
 )
 from tattooing.search import _cheap_prefix
+from test_search_golden import FAMILIES as GOLDEN_FAMILIES
 
 NO_CAP = SearchLimits(max_edges=30, time_budget=None)
 
@@ -490,6 +491,129 @@ class TestOracleAgreement:
             assert (r.cost, r.label_sum) == (o.cost, o.label_sum)
             assert r.orientations_searched == o.orientations
 
+    @staticmethod
+    def agree(g: Graph, mode: Mode, policy: Policy) -> None:
+        r = best_index(g, mode, policy)
+        o = oracle_invariants(g, mode, policy)
+        assert (r.cost, r.label_sum, r.orientations_searched) == (
+            o.cost,
+            o.label_sum,
+            o.orientations,
+        ), (g.edges, mode, policy)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_six_edge_graphs_agree(self, mode, policy):
+        for g in connected_graph_corpus(6):
+            if g.m == 6:
+                self.agree(g, mode, policy)
+
+    def test_seven_edge_graphs_agree(self):
+        # one (mode, policy) pair per graph, taken in turn by index
+        pairs = [(m, p) for m in (Mode.FSG, Mode.BLEND) for p in Policy]
+        sevens = [g for g in connected_graph_corpus(7) if g.m == 7]
+        assert len(sevens) == 79
+        for i, g in enumerate(sevens):
+            self.agree(g, *pairs[i % len(pairs)])
+
+
+def _prefix_floor(monkeypatch) -> None:
+    """Empty every orientation's closing table, so that the search
+    charges each vertex still to fire ``prefix[out-degree]`` until it
+    fires: the label-sum floor before closed vertices were charged the
+    best pool they can reach."""
+    build = search._Orientation.__init__
+
+    def build_open(self, *args):
+        build(self, *args)
+        self.closing = [[] for _ in self.closing]
+
+    monkeypatch.setattr(search._Orientation, "__init__", build_open)
+
+
+def _serial(graph: Graph, mode: Mode, policy: Policy):
+    """The report of a serial search and the ticks it took."""
+    searcher = search._Searcher(graph, mode, policy, NO_CAP)
+    return searcher.run(), searcher.clock.ticks
+
+
+class TestPoolFloor:
+    """A closed vertex's share of the label-sum floor is the least weight
+    of its out-degree distinct sets in the best pool it can still reach."""
+
+    def test_reports_equal_the_prefix_floor(self, monkeypatch):
+        graphs = [
+            *connected_graph_corpus(6),
+            *(family(spec) for spec in GOLDEN_FAMILIES),
+        ]
+        cases = [
+            (g, mode, policy)
+            for g in graphs
+            for mode in (Mode.FSG, Mode.BLEND)
+            for policy in Policy
+        ]
+        pool = [_serial(*case) for case in cases]
+        _prefix_floor(monkeypatch)
+        prefix = [_serial(*case) for case in cases]
+        # the same reports, witnesses included, in fewer ticks
+        assert [r for r, _ in pool] == [r for r, _ in prefix]
+        assert sum(t for _, t in pool) < sum(t for _, t in prefix)
+
+    @pytest.mark.parametrize(
+        "spec,policy,optimum,prefix_ticks",
+        # optimum: cost, label sum and witness orientation; prefix_ticks:
+        # the ticks of the same search with the prefix floor
+        [
+            ("joost:4,6", Policy.SMALLEST, (3, 42, 14080), 100_656),
+            ("joost:4,5", Policy.FRESH, (3, 31, 3075), 181_753),
+        ],
+    )
+    def test_under_half_the_prefix_floor_ticks(
+        self, spec, policy, optimum, prefix_ticks
+    ):
+        report, ticks = _serial(family(spec), Mode.BLEND, policy)
+        assert (
+            report.cost,
+            report.label_sum,
+            report.witness.orientation,
+        ) == optimum
+        assert ticks < prefix_ticks / 2
+
+    def test_closed_vertex_without_a_pool_is_cut(self, monkeypatch):
+        # The firing order is 0, 1, 2, 4, and the cost bound is 2, all
+        # spent by vertex 0.  Its first assignment sends {1} to 1, {2} to
+        # 2 and {1,2} to 4, and 1 passes {1} on to 4.  Vertex 4 then
+        # closes with the two sets {1} and {1,2} for its three out-arcs,
+        # and the cut skips vertex 2's firing.  The cost bound cannot see
+        # it: two distinct colours arrived for the two primaries vertex 4
+        # needs.
+        g = Graph(
+            8,
+            ((0, 1), (0, 2), (0, 4), (1, 4), (2, 3), (4, 5), (4, 6), (4, 7)),
+        )
+
+        class Unset(dict):
+            """An incumbent that is never set, so that no cut against it
+            fires."""
+
+            def update(self, **_):
+                pass
+
+        def ticks_without_incumbent() -> int:
+            searcher = search._Searcher(g, Mode.BLEND, Policy.SMALLEST, NO_CAP)
+            searcher._probe(0, 2, Unset(S=None))
+            return searcher.clock.ticks
+
+        pool = search._Searcher(g, Mode.BLEND, Policy.SMALLEST, NO_CAP)
+        assert pool._bound(0) == 2
+        report = pool.run_fixed(0)
+        assert (report.cost, report.label_sum) == (2, 16)
+        cut = ticks_without_incumbent()
+        _prefix_floor(monkeypatch)
+        prefix = search._Searcher(g, Mode.BLEND, Policy.SMALLEST, NO_CAP)
+        assert prefix.run_fixed(0) == report
+        assert cut < ticks_without_incumbent()
+
 
 class TestFreshPolicy:
     def test_bowtie_values_match_smallest_here(self):
@@ -813,6 +937,18 @@ class TestLimits:
         tight = SearchLimits(max_edges=30, time_budget=1e-4)
         with pytest.raises(LimitError):
             best_index(family("friendship:3,4"), Mode.BLEND, limits=tight)
+
+    def test_time_budget_covers_children_cut_on_closing(self):
+        # under FRESH, friendship:3,5 blend spends seconds on children
+        # that the floor of a closed vertex cuts before recursing; each
+        # ticks, so the deadline is checked among them too
+        tight = SearchLimits(max_edges=30, time_budget=0.2)
+        start = time.monotonic()
+        with pytest.raises(LimitError):
+            best_index(
+                family("friendship:3,5"), Mode.BLEND, Policy.FRESH, tight
+            )
+        assert time.monotonic() - start < 5
 
     def test_time_budget_covers_orientation_listing(self, monkeypatch):
         # the clock passes the deadline at its third reading: the first
