@@ -19,7 +19,6 @@ import io
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import random
 import sys
@@ -303,7 +302,7 @@ def _replay_check(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
         raise InputError(f"cannot load {path}: {exc}") from exc
     if not isinstance(doc, dict) or not doc.get("witness"):
         raise InputError("document carries no witness to replay")
@@ -319,7 +318,8 @@ def _replay_check(path: str) -> int:
             )
         quantity = Quantity(doc["quantity"])
         mode = quantity_mode(quantity, Mode(doc["mode"]))
-        claimed = doc["value"]
+        if "value" not in doc:
+            raise KeyError("value")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed document: {exc}") from exc
     # a witness that breaks the process rules raises an EngineError
@@ -327,15 +327,23 @@ def _replay_check(path: str) -> int:
         outcome = replay(graph, mode, witness)
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed document: {exc}") from exc
-    value = _scalar(quantity_value(quantity, outcome))
-    if value != claimed:
-        print(
-            f"replay mismatch: document says {claimed}, "
-            f"witness gives {value}",
-            file=sys.stderr,
-        )
-        return 4
-    print(f"replay OK: {quantity.value} = {value}")
+    # each figure the document gives, in the form ``compute`` writes it
+    replayed = {
+        "value": _scalar(quantity_value(quantity, outcome)),
+        "cost": outcome.cost,
+        "label_sum": outcome.label_sum,
+        "raw_ratio": str(outcome.raw_ratio),
+        "index": str(outcome.index),
+    }
+    for key, value in replayed.items():
+        if key in doc and doc[key] != value:
+            print(
+                f"replay mismatch: document says {key} = {doc[key]}, "
+                f"witness gives {value}",
+                file=sys.stderr,
+            )
+            return 4
+    print(f"replay OK: {quantity.value} = {replayed['value']}")
     return 0
 
 
@@ -702,6 +710,8 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot write {args.csv}: {exc}") from exc
     if workers > 1 and len(instances) > 1:
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = pool.map(row_of, instances)
     else:

@@ -86,8 +86,9 @@ through the process engine before being returned.
 from __future__ import annotations
 
 import functools
-import multiprocessing
+import importlib.util
 import os
+import sys
 import time
 import warnings
 from collections import Counter
@@ -97,9 +98,6 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, count, islice, permutations
 from math import inf
-
-import networkx as nx
-from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from tattooing.engine import (
     AllocationPlan,
@@ -125,6 +123,44 @@ from tattooing.graphs import (
     count_acyclic_orientations,
     orient,
 )
+
+
+def _lazy_module(name: str):
+    """The module ``name``, executed on its first attribute access (one
+    already imported is returned as it is).
+
+    Only class reduction (:meth:`_Searcher._rep_for`) uses networkx, so
+    a process that never reduces classes never pays for importing it.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+nx = _lazy_module("networkx")
+
+
+class DiGraphMatcher:
+    """networkx's VF2 matcher of two digraphs.
+
+    A class of this module rather than networkx's, so that networkx
+    loads only when a matcher is built.
+    """
+
+    def __init__(self, G1, G2):
+        self._matcher = nx.isomorphism.DiGraphMatcher(G1, G2)
+
+    def is_isomorphic(self) -> bool:
+        return self._matcher.is_isomorphic()
+
+    @property
+    def mapping(self) -> dict[int, int]:
+        return self._matcher.mapping
 
 
 class Quantity(Enum):
@@ -1014,6 +1050,8 @@ class _Searcher:
 
 
 def _mp_context():
+    import multiprocessing
+
     return multiprocessing.get_context("fork")
 
 

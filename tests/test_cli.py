@@ -19,6 +19,12 @@ from hypothesis import strategies as st
 
 from tattooing import cli, search
 from tattooing.cli import main
+from test_search_golden import GOLDEN as GOLDEN_REPORTS
+from test_search_golden import _cases as golden_cases
+
+JOOST_TAU_REFERENCE = (
+    Path(__file__).parents[1] / "perfbench" / "reference" / "joost-tau.json"
+)
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -384,6 +390,63 @@ class TestReplay:
         code, _, err = run(capsys, "compute", "--replay", str(path))
         assert code == 4
         assert "mismatch" in err
+
+    @pytest.mark.parametrize(
+        "key,claim",
+        [("cost", 1), ("label_sum", 1), ("raw_ratio", "1"), ("index", "99")],
+    )
+    def test_tampered_figure_exits_4(self, capsys, tmp_path, key, claim):
+        # value still agrees with the witness; only one other figure lies
+        path = self.save(
+            capsys, tmp_path, "compute", "--family", "cycle:4",
+            "--quantity", "tau", "--no-timing",
+        )
+        doc = json.loads(path.read_text())
+        assert doc["value"] == 2
+        doc[key] = claim
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compute", "--replay", str(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"replay mismatch: document says {key} = ")
+
+    def test_golden_witnesses_replay(self, capsys, tmp_path):
+        # every pinned search report, written as the document compute
+        # would print for its mode's cost quantity
+        graphs = {label: g for label, g, _ in golden_cases()}
+        quantity = {"brush": "br", "fsg": "btau", "blend": "tau"}
+        golden = json.loads(GOLDEN_REPORTS.read_text())
+        path = tmp_path / "doc.json"
+        for key, report in golden.items():
+            label, mode, _ = key.rsplit(" ", 2)
+            g = graphs[label]
+            doc = {
+                "graph": {"vertices": g.n, "edge_list": list(g.edges)},
+                "mode": mode,
+                "quantity": quantity[mode],
+                "value": report["cost"],
+                **report,
+            }
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "compute", "--replay", str(path))
+            assert (code, err) == (0, ""), key
+            assert out == f"replay OK: {quantity[mode]} = {report['cost']}\n"
+
+    def test_joost_tau_reference_replays(self, capsys):
+        # the benchmark replays its joost-tau witness the same way
+        code, out, err = run(
+            capsys, "compute", "--replay", str(JOOST_TAU_REFERENCE)
+        )
+        assert (code, err) == (0, "")
+        assert out == "replay OK: tau = 3\n"
+
+    def test_non_utf8_document_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "compute", "--replay", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot load {path}: 'utf-8' codec")
 
     @pytest.mark.parametrize(
         "tamper,expect",
@@ -1194,6 +1257,60 @@ class TestNoNumpy:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr.decode()
+
+
+class TestLazyNetworkx:
+    """networkx is executed on the first class reduction, not on import:
+    ``networkx`` is in ``sys.modules`` as a lazy module from the start, and
+    its subpackages appear once it runs."""
+
+    @staticmethod
+    def child(*argv) -> tuple[str, bool]:
+        """Standard output of ``tattoo ARGV`` (of the import alone if
+        there is none) in a fresh interpreter, and whether networkx ran."""
+        script = (
+            "import sys, tattooing.cli\n"
+            "assert 'networkx' in sys.modules\n"
+            f"argv = {list(argv)!r}\n"
+            "code = tattooing.cli.main(argv) if argv else 0\n"
+            "print('networkx.classes' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            env=_child_env(),
+            timeout=120,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *out, loaded = proc.stdout.splitlines(keepends=True)
+        return "".join(out), loaded == "True\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("compute", "--family", "friendship:3,2", "--quantity",
+             "ratio-set", "--orientation", "0", "--allocate", "0:4"),
+            ("compute", "--family", "joost:3,3", "--quantity", "tau",
+             "--orientation", "5"),
+            ("compute", "--family", "joost:3,3", "--quantity", "br"),
+            ("compute", "--replay", str(JOOST_TAU_REFERENCE)),
+        ],
+        ids=["import", "ratio-set", "orientation", "br", "replay"],
+    )
+    def test_no_class_reduction_leaves_networkx_unexecuted(self, argv):
+        _, loaded = self.child(*argv)
+        assert not loaded
+
+    def test_class_reduction_loads_networkx(self, capsys):
+        argv = ("compute", "--family", "joost:3,3", "--quantity", "tau",
+                "--no-timing")
+        out, loaded = self.child(*argv)
+        assert loaded
+        _, expected, _ = run(capsys, *argv)
+        assert out == expected
 
 
 class TestClosedPipe:

@@ -890,6 +890,38 @@ class TestLearnedOrbits:
         assert len(searcher._iso_rep) == len(codes)
         assert searcher.clock.ticks == len(codes) - len(hashed) > 0
 
+    def test_tracer_hook_points(self, monkeypatch):
+        # perfbench's tracer times class reduction by swapping the module
+        # globals ``nx`` and ``DiGraphMatcher`` for wrappers, as done here
+        graph = family("friendship:3,3")
+        expected = best_index(graph, Mode.FSG, limits=NO_CAP)
+        hashes, tests = [], []
+
+        class CountingNetworkx:
+            def __init__(self, module):
+                self._module = module
+
+            def weisfeiler_lehman_graph_hash(self, G):
+                hashes.append(G)
+                return self._module.weisfeiler_lehman_graph_hash(G)
+
+            def __getattr__(self, name):
+                return getattr(self._module, name)
+
+        class CountingMatcher(search.DiGraphMatcher):
+            def __init__(self, G1, G2):
+                super().__init__(G1, G2)
+
+            def is_isomorphic(self):
+                tests.append(self)
+                return super().is_isomorphic()
+
+        monkeypatch.setattr(search, "nx", CountingNetworkx(search.nx))
+        monkeypatch.setattr(search, "DiGraphMatcher", CountingMatcher)
+        assert best_index(graph, Mode.FSG, limits=NO_CAP) == expected
+        assert len(hashes) > 0
+        assert len(tests) > 0
+
     @pytest.mark.parametrize(
         "mapping,message",
         [
