@@ -31,6 +31,7 @@ from tattooing.engine import (
     EngineError,
     FireEvent,
     Mode,
+    Outcome,
     Policy,
     Witness,
     replay,
@@ -108,7 +109,7 @@ def _load_graph(args) -> tuple[Graph, str | None]:
         if args.input:
             with open(args.input, encoding="utf-8") as handle:
                 return parse_edge_list(handle.read()), None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -177,6 +178,17 @@ def _witness_from_doc(doc: dict) -> Witness:
             for event in doc["events"]
         ),
     )
+
+
+def _figures(quantity: Quantity, result: Outcome) -> dict:
+    """The figures of a run, in the form and order documents give them."""
+    return {
+        "value": _scalar(quantity_value(quantity, result)),
+        "cost": result.cost,
+        "label_sum": result.label_sum,
+        "raw_ratio": str(result.raw_ratio),
+        "index": str(result.index),
+    }
 
 
 def _graph_doc(graph: Graph) -> dict:
@@ -273,11 +285,7 @@ def cmd_compute(args) -> int:
             report = best_index(
                 graph, mode, policy, limits, workers=_workers(args)
             )
-        doc["value"] = _scalar(quantity_value(quantity, report))
-        doc["cost"] = report.cost
-        doc["label_sum"] = report.label_sum
-        doc["raw_ratio"] = str(report.raw_ratio)
-        doc["index"] = str(report.index)
+        doc.update(_figures(quantity, report))
         doc["witness"] = _witness_doc(report.witness)
         doc["orientations_searched"] = report.orientations_searched
 
@@ -328,13 +336,7 @@ def _replay_check(path: str) -> int:
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed document: {exc}") from exc
     # each figure the document gives, in the form ``compute`` writes it
-    replayed = {
-        "value": _scalar(quantity_value(quantity, outcome)),
-        "cost": outcome.cost,
-        "label_sum": outcome.label_sum,
-        "raw_ratio": str(outcome.raw_ratio),
-        "index": str(outcome.index),
-    }
+    replayed = _figures(quantity, outcome)
     for key, value in replayed.items():
         if key in doc and doc[key] != value:
             print(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from tattooing.graphs import Digraph, Graph, orient
@@ -79,6 +80,11 @@ class ColourSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # ``type``, not ``isinstance``: a bool is no primary index
+        if not all(type(p) is int for p in self.members):
+            raise ValueError(
+                f"primary indices are integers, got {list(self.members)}"
+            )
         canon = tuple(sorted(set(self.members)))
         if not canon:
             raise ValueError("colour set must be non-empty")
@@ -159,7 +165,9 @@ class FireEvent:
     assignment: tuple[tuple[int, ColourSet], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(sorted(self.assignment)))
+        object.__setattr__(
+            self, "assignment", tuple(sorted(self.assignment, key=itemgetter(0)))
+        )
 
 
 @dataclass(frozen=True)
@@ -176,23 +184,17 @@ class Witness:
 class Outcome:
     """Result of a completed run.
 
-    ``primaries_used`` is the total cost: initial allocations plus
+    ``cost`` is the number of primaries used: initial allocations plus
     augmentations (token count in BRUSH mode).  ``raw_ratio`` is
     edges over label sum; ``index`` divides that again by the cost.
     """
 
     mode: Mode
-    primaries_used: int
+    cost: int
     label_sum: int
     raw_ratio: Fraction
     index: Fraction
     witness: Witness
-
-    @property
-    def cost(self) -> int:
-        """``primaries_used``, under the name search and oracle results
-        give it."""
-        return self.primaries_used
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,9 @@ def _normalise_assignment(
         items = list(assignment.items())
     else:
         items = list(assignment)
-    return sorted(items)
+    # by arc alone: colour sets have no order, and a repeated arc is
+    # reported by ``fire``
+    return sorted(items, key=itemgetter(0))
 
 
 def fire(
@@ -468,7 +472,7 @@ def replay(graph: Graph, mode: Mode, witness: Witness) -> Outcome:
     m, label_sum = graph.m, state.label_sum
     return Outcome(
         mode=mode,
-        primaries_used=state.cost,
+        cost=state.cost,
         label_sum=label_sum,
         raw_ratio=Fraction(m, label_sum),
         index=Fraction(m, state.cost * label_sum),

@@ -200,7 +200,7 @@ def quantity_mode(
 
 def quantity_value(quantity: Quantity, result) -> int | Fraction:
     """The value of ``quantity`` in a result with ``cost``, ``label_sum``,
-    ``raw_ratio`` and ``index``: a search report, a replayed outcome or
+    ``raw_ratio`` and ``index``: an outcome (a search report is one) or
     an oracle result."""
     if quantity in COST_MODES:
         return result.cost
@@ -292,27 +292,11 @@ class _Clock:
 
 
 @dataclass(frozen=True)
-class IndexReport:
+class IndexReport(Outcome):
     """Least cost, then least label sum at that cost, for one graph and
-    mode."""
+    mode: the replayed run of the witness found, and how many
+    orientations the search covered."""
 
-    mode: Mode
-    policy: Policy
-    cost: int
-    label_sum: int
-    raw_ratio: Fraction
-    index: Fraction
-    witness: Witness
-    orientations_searched: int
-
-
-@dataclass(frozen=True)
-class InvariantResult:
-    quantity: Quantity
-    mode: Mode
-    policy: Policy
-    value: int | Fraction
-    witness: Witness
     orientations_searched: int
 
 
@@ -530,11 +514,7 @@ class _Searcher:
             return got
         G = nx.DiGraph()
         G.add_nodes_from(range(self.graph.n))
-        for i, (u, v) in enumerate(self.graph.edges):
-            if (code >> i) & 1:
-                G.add_edge(v, u)
-            else:
-                G.add_edge(u, v)
+        G.add_edges_from(orient(self.graph, code).arcs)
         with warnings.catch_warnings():
             # networkx 3.5 changed these hashes; they are only compared
             # within one search, so the change does not matter here
@@ -671,8 +651,7 @@ class _Searcher:
             # a token run always meets the bound, and tokens weigh one
             c, codes = next(levels)
             witness = self._brush_witness(codes[0])
-            out = self._finish(c, self.graph.m, witness)
-            return self._report(out, total)
+            return self._finish(c, self.graph.m, witness, total)
         pool, size = None, 1
         try:
             for c, reps in levels:
@@ -695,8 +674,7 @@ class _Searcher:
         witness = self._events_to_witness(
             best["code"], best["events"], best["plan"]
         )
-        out = self._finish(c, best["S"], witness)
-        return self._report(out, total)
+        return self._finish(c, best["S"], witness, total)
 
     def _start_pool(self, size: int):
         """A pool of ``size`` workers forked from this process, so that
@@ -738,28 +716,19 @@ class _Searcher:
             self._probe(code, budget, best)
         return best
 
-    def _report(self, outcome: Outcome, total: int) -> IndexReport:
-        return IndexReport(
-            mode=self.mode,
-            policy=self.policy,
-            cost=outcome.primaries_used,
-            label_sum=outcome.label_sum,
-            raw_ratio=outcome.raw_ratio,
-            index=outcome.index,
-            witness=outcome.witness,
-            orientations_searched=total,
-        )
-
-    def _finish(self, cost: int, label_sum: int, witness: Witness) -> Outcome:
-        """Replay the witness through the engine, once, and insist it
-        gives the cost and label sum the search claims."""
+    def _finish(
+        self, cost: int, label_sum: int, witness: Witness, total: int
+    ) -> IndexReport:
+        """Replay the witness through the engine, once, insist it gives
+        the cost and label sum the search claims, and report the replayed
+        run with ``total`` orientations searched."""
         outcome = replay(self.graph, self.mode, witness)
-        if outcome.primaries_used != cost or outcome.label_sum != label_sum:
+        if outcome.cost != cost or outcome.label_sum != label_sum:
             raise ReplayError(
                 f"search claims cost {cost}, label sum {label_sum}; "
-                f"replay gives {outcome.primaries_used}, {outcome.label_sum}"
+                f"replay gives {outcome.cost}, {outcome.label_sum}"
             )
-        return outcome
+        return IndexReport(**vars(outcome), orientations_searched=total)
 
     # ---- per-orientation depth-first search ----
 
@@ -1090,27 +1059,6 @@ def best_index_for_orientation(
         digraph.graph, mode, policy, limits or SearchLimits()
     )
     return searcher.run_fixed(digraph.bits())
-
-
-def invariant(
-    graph: Graph,
-    quantity: Quantity,
-    mode: Mode | None = None,
-    policy: Policy = Policy.SMALLEST,
-    limits: SearchLimits | None = None,
-    workers: int = 1,
-) -> InvariantResult:
-    """One named quantity of a graph, with a witness run attached."""
-    mode = quantity_mode(quantity, mode)
-    report = best_index(graph, mode, policy, limits, workers=workers)
-    return InvariantResult(
-        quantity=quantity,
-        mode=mode,
-        policy=policy,
-        value=quantity_value(quantity, report),
-        witness=report.witness,
-        orientations_searched=report.orientations_searched,
-    )
 
 
 def _sums_of(counts: Counter, k: int, clock: _Clock) -> set[int]:

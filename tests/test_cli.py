@@ -123,6 +123,16 @@ class TestCompute:
         assert doc["value"] == 1
         assert doc["family"] is None
 
+    def test_non_utf8_edge_list_is_named(self, capsys, tmp_path):
+        source = tmp_path / "graph.txt"
+        source.write_bytes(b"\xff\xfe")
+        code, out, err = run(
+            capsys, "compute", "--input", str(source), "--quantity", "tau"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {source}: 'utf-8' codec")
+
     def test_missing_graph_exits_2(self, capsys):
         code, _, _ = run(capsys, "compute", "--quantity", "tau")
         assert code == 2
@@ -553,6 +563,40 @@ class TestReplay:
         )
         code, _, _ = run(capsys, "compute", "--replay", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "assignment,expect,message",
+        [
+            (
+                [[0, [1]], [0, [2]]],
+                4,
+                "inconsistent result: vertex 0 must tattoo arcs [0, 1], "
+                "assignment covers [0, 0]",
+            ),
+            (
+                [[0, [1.5]], [1, [2]]],
+                2,
+                "error: malformed document: primary indices are integers, "
+                "got [1.5]",
+            ),
+            (
+                [[0, [True]], [1, [2]]],
+                2,
+                "error: malformed document: primary indices are integers, "
+                "got [True]",
+            ),
+        ],
+        ids=["repeated-arc", "float-primary", "bool-primary"],
+    )
+    def test_bad_assignment_exit_code(
+        self, capsys, tmp_path, assignment, expect, message
+    ):
+        doc = json.loads(json.dumps(CYCLE5_DOC))
+        doc["witness"]["events"][0]["assignment"] = assignment
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compute", "--replay", str(path))
+        assert (code, out, err) == (expect, "", message + "\n")
 
 
 def _paths(node, path=()):

@@ -60,6 +60,12 @@ class TestColourSet:
         with pytest.raises(ValueError):
             cs(0, 1)
 
+    @pytest.mark.parametrize("member", [1.5, 2.0, True, "1"])
+    def test_non_integer_rejected(self, member):
+        # a bool is an int to Python, not a primary index
+        with pytest.raises(ValueError, match="primary indices are integers"):
+            ColourSet((1, member))
+
     def test_sort_key_orders_weight_then_size(self):
         pool = [cs(1, 2), cs(3), cs(2), cs(1)]
         pool.sort(key=ColourSet.sort_key)
@@ -186,6 +192,16 @@ class TestFireValidation:
         with pytest.raises(IncompleteAssignmentError):
             fire(self.st, 0, ((0, cs(1)), (2, cs(2))))
 
+    def test_repeated_arc(self):
+        # the pairs sort by arc alone, so a tie never compares colour sets
+        twice = ((0, cs(2)), (0, cs(1)))
+        assert FireEvent(0, twice).assignment == twice
+        with pytest.raises(
+            IncompleteAssignmentError,
+            match=r"must tattoo arcs \[0, 1\], assignment covers \[0, 0\]",
+        ):
+            fire(self.st, 0, twice)
+
     def test_duplicate_colour_set(self):
         with pytest.raises(InjectivityError):
             fire(self.st, 0, ((0, cs(1, 2)), (1, cs(2, 1))))
@@ -311,7 +327,7 @@ class TestReplay:
     def test_outcome_figures(self):
         _, out = self.outcome()
         assert out.mode is Mode.BLEND
-        assert out.primaries_used == 2
+        assert out.cost == 2
         assert out.label_sum == 4
         assert out.raw_ratio == Fraction(3, 4)
         assert out.index == Fraction(3, 8)
@@ -355,7 +371,7 @@ class TestReplay:
             (FireEvent(0), FireEvent(1), FireEvent(2)),
         )
         out = replay(g, Mode.BRUSH, w)
-        assert out.primaries_used == 1
+        assert out.cost == 1
         assert out.index == Fraction(1)
 
     def test_replay_reproduces(self):

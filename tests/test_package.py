@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import tattooing
 
 PUBLIC = [
@@ -20,7 +22,6 @@ PUBLIC = [
     "IncompleteAssignmentError",
     "IndexReport",
     "InjectivityError",
-    "InvariantResult",
     "LimitError",
     "MAX_ORACLE_EDGES",
     "MalformedLineError",
@@ -47,13 +48,14 @@ PUBLIC = [
     "fr3_formulas",
     "general_fr_formulas",
     "initial_state",
-    "invariant",
     "joost_formulas",
     "mutate_pool",
     "oracle_invariants",
     "orient",
     "parse_edge_list",
     "parse_family_spec",
+    "quantity_mode",
+    "quantity_value",
     "ratio_set",
     "ready_vertices",
     "replay",
@@ -70,3 +72,22 @@ def test_all_is_the_pinned_sorted_list():
 def test_every_listed_name_resolves():
     missing = [name for name in tattooing.__all__ if not hasattr(tattooing, name)]
     assert missing == []
+
+
+# the result records, field by field, in order
+RECORDS = {
+    "Outcome": ["mode", "cost", "label_sum", "raw_ratio", "index", "witness"],
+    "IndexReport": [
+        "mode", "cost", "label_sum", "raw_ratio", "index", "witness",
+        "orientations_searched",
+    ],
+}
+
+
+def test_result_records_have_the_pinned_fields():
+    # a field added to, removed from or moved in a record shows up here
+    fields = {
+        name: [f.name for f in dataclasses.fields(getattr(tattooing, name))]
+        for name in RECORDS
+    }
+    assert fields == RECORDS

@@ -124,14 +124,14 @@ class TestScheduleOrderIndependence:
         assert state.complete
         canonical = replay(graph, Mode.BLEND, witness)
         assert state.label_sum == canonical.label_sum
-        assert state.cost == canonical.primaries_used
+        assert state.cost == canonical.cost
 
         reordered = dataclasses.replace(
             witness, events=tuple(FireEvent(v, assignments[v]) for v in order)
         )
         rerun = replay(graph, Mode.BLEND, reordered)
         assert rerun.label_sum == canonical.label_sum
-        assert rerun.primaries_used == canonical.primaries_used
+        assert rerun.cost == canonical.cost
         assert rerun.index == canonical.index
 
 

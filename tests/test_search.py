@@ -18,6 +18,7 @@ from tattooing.engine import (
     AllocationPlan,
     EngineError,
     Mode,
+    Outcome,
     Policy,
     ReplayError,
     fire,
@@ -40,7 +41,8 @@ from tattooing.search import (
     SearchLimits,
     best_index,
     best_index_for_orientation,
-    invariant,
+    quantity_mode,
+    quantity_value,
     ratio_set,
 )
 from tattooing.search import _cheap_prefix
@@ -83,7 +85,7 @@ class TestCycleTau:
         g = family("cycle:5")
         r = best_index(g, Mode.BLEND)
         outcome = replay(g, Mode.BLEND, r.witness)
-        assert outcome.primaries_used == r.cost
+        assert outcome.cost == r.cost
         assert outcome.label_sum == r.label_sum
 
 
@@ -373,7 +375,6 @@ ANSWERS = {
     "best_index_for_orientation": lambda g, mode: best_index_for_orientation(
         identity_orientation(g), mode
     ),
-    "invariant": lambda g, mode: invariant(g, Quantity.INDEX, mode),
 }
 
 
@@ -667,37 +668,49 @@ class TestBrush:
         assert sum(k for _, k in r.witness.initial) == r.cost
 
 
+def quantity(g: Graph, q: Quantity, mode: Mode | None = None):
+    """One quantity of a graph: its value in the report of its mode."""
+    return quantity_value(q, best_index(g, quantity_mode(q, mode)))
+
+
 class TestInvariantDispatch:
     def test_quantities_imply_modes(self):
-        g = family("cycle:4")
-        assert invariant(g, Quantity.BR).mode is Mode.BRUSH
-        assert invariant(g, Quantity.BTAU).mode is Mode.FSG
-        assert invariant(g, Quantity.TAU).mode is Mode.BLEND
+        assert quantity_mode(Quantity.BR) is Mode.BRUSH
+        assert quantity_mode(Quantity.BTAU) is Mode.FSG
+        assert quantity_mode(Quantity.TAU) is Mode.BLEND
+        assert quantity_mode(Quantity.TAU, Mode.BLEND) is Mode.BLEND
 
     def test_conflicting_mode_rejected(self):
         with pytest.raises(ValueError):
-            invariant(family("cycle:4"), Quantity.BTAU, Mode.BLEND)
+            quantity_mode(Quantity.BTAU, Mode.BLEND)
 
     def test_ratio_quantities_default_to_blend(self):
+        assert quantity_mode(Quantity.INDEX) is Mode.BLEND
+        assert quantity_mode(Quantity.INDEX, Mode.FSG) is Mode.FSG
         g = family("cycle:5")
-        res = invariant(g, Quantity.INDEX)
-        assert res.mode is Mode.BLEND
-        assert res.value == Fraction(5, 12)
-        raw = invariant(g, Quantity.RAW_RATIO)
-        assert raw.value == Fraction(5, 6)
+        assert quantity(g, Quantity.INDEX) == Fraction(5, 12)
+        assert quantity(g, Quantity.RAW_RATIO) == Fraction(5, 6)
 
     def test_label_sum_quantity(self):
-        res = invariant(family("cycle:5"), Quantity.MIN_LABEL_SUM)
-        assert res.value == 6
+        assert quantity(family("cycle:5"), Quantity.MIN_LABEL_SUM) == 6
 
     def test_values_consistent_with_best_index(self):
         g = family("friendship:3,2")
         r = best_index(g, Mode.FSG)
-        assert invariant(g, Quantity.BTAU).value == r.cost
-        assert (
-            invariant(g, Quantity.MIN_LABEL_SUM, Mode.FSG).value
-            == r.label_sum
-        )
+        assert quantity(g, Quantity.BTAU) == r.cost
+        assert quantity(g, Quantity.MIN_LABEL_SUM, Mode.FSG) == r.label_sum
+
+
+class TestReportIsReplayedOutcome:
+    @pytest.mark.parametrize("spec", ["cycle:5", "friendship:3,2"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("answer", sorted(ANSWERS))
+    def test_report_equals_its_replay(self, answer, mode, spec):
+        g = family(spec)
+        r = ANSWERS[answer](g, mode)
+        assert isinstance(r, Outcome)
+        run = {f.name: getattr(r, f.name) for f in dataclasses.fields(Outcome)}
+        assert replay(g, r.mode, r.witness) == Outcome(**run)
 
 
 class TestLowerBounds:
