@@ -45,6 +45,7 @@ from tattooing.formulas import (
 from tattooing.graphs import (
     Digraph,
     DisconnectedGraphError,
+    FamilySpec,
     Graph,
     build_family,
     orient,
@@ -100,12 +101,16 @@ def _parse_allocation(text: str, policy: Policy) -> AllocationPlan:
         raise InputError(f"bad allocation {text!r}: use v:k[,v:k...]") from exc
 
 
-def _load_graph(args) -> tuple[Graph, str | None]:
+def _load_graph(args, limits: SearchLimits) -> tuple[Graph, str | None]:
+    """The graph of ``--family`` or ``--input``; a family spec over the
+    edge limit is refused before it is built."""
     if args.family and args.input:
         raise InputError("give either --family or --input, not both")
     try:
         if args.family:
-            return build_family(parse_family_spec(args.family)), args.family
+            spec = parse_family_spec(args.family)
+            limits.check(spec)
+            return build_family(spec), args.family
         if args.input:
             with open(args.input, encoding="utf-8") as handle:
                 return parse_edge_list(handle.read()), None
@@ -235,7 +240,6 @@ def cmd_compute(args) -> int:
             "--workers applies only to a search over every orientation; "
             "drop it with --orientation or --quantity ratio-set"
         )
-    graph, family = _load_graph(args)
     # ratio-set is not a Quantity; it implies no mode
     quantity = (
         None if args.quantity == "ratio-set" else Quantity(args.quantity)
@@ -246,6 +250,7 @@ def cmd_compute(args) -> int:
         raise InputError(str(exc)) from exc
     policy = Policy(args.policy)
     limits = _limits(args)
+    graph, family = _load_graph(args, limits)
     started = time.monotonic()
 
     doc = {
@@ -589,9 +594,12 @@ _COLUMNS = (
 )
 
 
-def _sweep_instances(args) -> list[tuple[str, Graph | None, str]]:
-    """(params, graph, build_error) per requested instance; the params of
-    a family instance are the body of its spec.
+def _sweep_instances(
+    args,
+) -> list[tuple[str, FamilySpec | Graph | None, str]]:
+    """(params, source, error) per requested instance: a family spec,
+    unbuilt, whose body is the params, or a random graph; or None and why
+    the spec is refused.
 
     A family-specific flag given to a family that does not read it is
     refused, as is a missing one that it needs."""
@@ -630,7 +638,7 @@ def _sweep_instances(args) -> list[tuple[str, Graph | None, str]]:
     for combo in itertools.product(*ranges):
         body = ",".join(map(str, combo))
         try:
-            out.append((body, _family(f"{args.family}:{body}"), ""))
+            out.append((body, parse_family_spec(f"{args.family}:{body}"), ""))
         except ValueError as exc:
             out.append((body, None, str(exc)))
     return out
@@ -669,15 +677,20 @@ def _random_instances(args) -> list[tuple[str, Graph, str]]:
 
 
 def _sweep_row(family, mode, policy, limits, instance) -> dict:
-    params, graph, error = instance
+    params, source, error = instance
     row = dict.fromkeys(_COLUMNS, "")
     row.update(family=family, params=params)
-    if graph is None:
+    if source is None:
         row["status"] = f"refused: {error}"
         return row
-    row.update(vertices=graph.n, edges=graph.m)
+    row.update(vertices=source.n, edges=source.m)
     started = time.monotonic()
     try:
+        # a family spec over the edge limit is refused before it is built
+        limits.check(source)
+        graph = (
+            build_family(source) if isinstance(source, FamilySpec) else source
+        )
         # the chosen mode is one of the three cost modes
         reports = {}
         for quantity, cost_mode in COST_MODES.items():

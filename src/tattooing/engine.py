@@ -12,8 +12,9 @@ Primaries enter the process in two ways, both counted by ``cost``: an
 initial allocation before anything fires, or an augmentation at firing
 time when the assignment refers to primaries the vertex does not hold.
 Augmented indices are pinned by the naming policy: SMALLEST hands out the
-smallest positive indices absent from the vertex, FRESH hands out
-globally unused indices from a running counter.
+smallest positive indices absent from the vertex, FRESH hands out the
+indices just above every one issued so far.  Every issued primary is
+paid for, so the FRESH counter stands at the cost.
 
 Modes restrict the pool.  BLEND allows every non-empty subset of the
 present primaries plus arrived blends; FSG allows singletons only; BRUSH
@@ -132,6 +133,11 @@ class AllocationPlan:
     policy: Policy
 
     def __post_init__(self) -> None:
+        for v, k in self.initial:
+            if type(v) is not int or type(k) is not int:
+                raise ValueError(
+                    f"allocation vertices and counts are integers, got {(v, k)}"
+                )
         pairs = tuple(sorted(self.initial))
         if not pairs:
             raise ValueError("allocation plan must give at least one vertex something")
@@ -165,6 +171,11 @@ class FireEvent:
     assignment: tuple[tuple[int, ColourSet], ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.vertex) is not int:
+            raise ValueError(f"fired vertices are integers, got {self.vertex!r}")
+        arcs = [i for i, _ in self.assignment]
+        if not all(type(i) is int for i in arcs):
+            raise ValueError(f"arcs are integers, got {arcs}")
         object.__setattr__(
             self, "assignment", tuple(sorted(self.assignment, key=itemgetter(0)))
         )
@@ -178,6 +189,12 @@ class Witness:
     policy: Policy
     initial: tuple[tuple[int, int], ...]
     events: tuple[FireEvent, ...]
+
+    def __post_init__(self) -> None:
+        if type(self.orientation) is not int:
+            raise ValueError(
+                f"orientation codes are integers, got {self.orientation!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -209,7 +226,6 @@ class ProcessState:
     arrived_blends: tuple[tuple[ColourSet, ...], ...]
     brush_tokens: tuple[int, ...]
     cost: int
-    next_fresh: int
 
     @property
     def complete(self) -> bool:
@@ -249,7 +265,6 @@ def initial_state(digraph: Digraph, mode: Mode, plan: AllocationPlan) -> Process
             raise ValueError(f"allocation plan names vertex {v}, graph has {n}")
     present: list[tuple[int, ...]] = [()] * n
     tokens = [0] * n
-    nxt = 1
     if mode is Mode.BRUSH:
         for v, k in plan.initial:
             tokens[v] = k
@@ -257,9 +272,10 @@ def initial_state(digraph: Digraph, mode: Mode, plan: AllocationPlan) -> Process
         for v, k in plan.initial:
             present[v] = tuple(range(1, k + 1))
     else:
+        issued = 0
         for v, k in plan.initial:
-            present[v] = tuple(range(nxt, nxt + k))
-            nxt += k
+            present[v] = tuple(range(issued + 1, issued + k + 1))
+            issued += k
     return ProcessState(
         digraph=digraph,
         mode=mode,
@@ -269,7 +285,6 @@ def initial_state(digraph: Digraph, mode: Mode, plan: AllocationPlan) -> Process
         arrived_blends=((),) * n,
         brush_tokens=tuple(tokens),
         cost=plan.total,
-        next_fresh=nxt,
     )
 
 
@@ -317,7 +332,7 @@ def mutate_pool(
 
 def _policy_indices(state: ProcessState, vertex: int, count: int) -> tuple[int, ...]:
     if state.policy is Policy.FRESH:
-        return tuple(range(state.next_fresh, state.next_fresh + count))
+        return tuple(range(state.cost + 1, state.cost + count + 1))
     present = set(state.primaries_present[vertex])
     out: list[int] = []
     candidate = 1
@@ -423,8 +438,6 @@ def fire(
         ),
         brush_tokens=state.brush_tokens,
         cost=state.cost + len(new_needed),
-        next_fresh=state.next_fresh
-        + (len(new_needed) if state.policy is Policy.FRESH else 0),
     )
 
 
@@ -451,7 +464,6 @@ def _fire_brush(
         arrived_blends=state.arrived_blends,
         brush_tokens=tuple(tokens),
         cost=state.cost + aug,
-        next_fresh=state.next_fresh,
     )
 
 

@@ -55,12 +55,17 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        # ``type``, not ``isinstance``: a bool is no vertex
+        if type(self.n) is not int:
+            raise ValueError(f"vertex count is an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
         seen: set[tuple[int, int]] = set()
         canon: list[tuple[int, int]] = []
         for pair in self.edges:
             u, v = pair
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ends are integers, got {(u, v)}")
             if u == v:
                 raise SelfLoopError(f"loop at vertex {u}")
             if u > v:
@@ -414,6 +419,15 @@ _MINIMA = {
     FamilyKind.JOOST: (3, 1),
     FamilyKind.GENERAL_FRIENDSHIP: (),
 }
+# vertex and edge counts of each kind's graph, from its parameters
+_SIZES = {
+    FamilyKind.CYCLE: lambda n: (n, n),
+    FamilyKind.PATH: lambda n: (n, n - 1),
+    FamilyKind.STAR: lambda t: (t + 1, t),
+    FamilyKind.WHEEL: lambda n: (n + 1, 2 * n),
+    FamilyKind.FRIENDSHIP: lambda q, c: (1 + c * (q - 1), q * c),
+    FamilyKind.JOOST: lambda n, k: (2 + k * (n - 2), k * (n - 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -422,7 +436,8 @@ class FamilySpec:
 
     ``params`` carries the integer parameters for every kind except
     GENERAL_FRIENDSHIP, which instead lists ``blocks`` of
-    (cycle length, copies) pairs.
+    (cycle length, copies) pairs.  ``n`` and ``m`` are the vertex and
+    edge counts of the graph it builds, found without building it.
     """
 
     kind: FamilyKind
@@ -452,6 +467,22 @@ class FamilySpec:
                 raise ValueError(
                     f"{k.value} parameter {value} below minimum {least}"
                 )
+
+    @property
+    def n(self) -> int:
+        return self._size()[0]
+
+    @property
+    def m(self) -> int:
+        return self._size()[1]
+
+    def _size(self) -> tuple[int, int]:
+        if self.kind is FamilyKind.GENERAL_FRIENDSHIP:
+            return (
+                1 + sum(copies * (length - 1) for length, copies in self.blocks),
+                sum(length * copies for length, copies in self.blocks),
+            )
+        return _SIZES[self.kind](*self.params)
 
     def __str__(self) -> str:
         if self.kind is FamilyKind.GENERAL_FRIENDSHIP:

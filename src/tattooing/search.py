@@ -118,6 +118,7 @@ from tattooing.engine import (
 )
 from tattooing.graphs import (
     Digraph,
+    FamilySpec,
     Graph,
     collect_acyclic_orientation_bits,
     count_acyclic_orientations,
@@ -263,7 +264,9 @@ class SearchLimits:
                 f"got {self.time_budget!r}"
             )
 
-    def check(self, graph: Graph) -> None:
+    def check(self, graph: Graph | FamilySpec) -> None:
+        """Refuse a graph, or a family spec before it is built, with
+        more edges than the limit."""
         if graph.m > self.max_edges:
             raise LimitError(
                 f"graph has {graph.m} edges, limit is {self.max_edges} "
@@ -358,11 +361,12 @@ def _submasks(mask: int) -> list[int]:
     return out
 
 
-def _grant_mask(held: int, policy: Policy, fresh: int, count: int) -> int:
+def _grant_mask(held: int, policy: Policy, cost: int, count: int) -> int:
     if count == 0:
         return 0
     if policy is Policy.FRESH:
-        return ((1 << count) - 1) << (fresh - 1)
+        # every index up to the cost is issued
+        return ((1 << count) - 1) << cost
     granted = 0
     got = 0
     b = 0
@@ -744,7 +748,9 @@ class _Searcher:
         state that leaves.  Both coordinates are cut by admissible
         bounds: ``cost + lb_rem`` against the budget, and the label sum
         so far plus the floor (or the cheapest sets still to place)
-        against the incumbent.
+        against the incumbent, where a child is built or a start is set
+        up.  The firings above the current depth are one ``path`` of
+        references, turned into events only when the incumbent improves.
 
         The floor charges a vertex still to fire ``prefix[out-degree]``,
         the cheapest distinct sets any pool could offer, until the vertex
@@ -764,14 +770,14 @@ class _Searcher:
         so the grant at the vertex's firing has at most the count used
         here.  Under SMALLEST a grant is the lowest bits ``held`` lacks,
         so a smaller grant is a subset of the larger one, and so is its
-        pool.  Under FRESH a grant is bits numbered from the ``fresh``
-        counter up, and the counter only grows.  Every bit issued so far
-        is below the current counter, so the bits of a later grant are in
-        no held set and no arrived blend.  Sending the later grant's bits,
-        in order, onto the bits from the current counter up fixes every
-        arrived blend and maps the later pool one to one into the pool
-        used here, with no set heavier.  So neither a smaller grant nor a
-        later counter gives a cheaper choice of distinct sets.
+        pool.  Under FRESH a grant is the bits numbered from the cost so
+        far up, as every index up to the cost is issued, and the cost only
+        grows.  So the bits of a later grant are in no held set and no
+        arrived blend.  Sending the later grant's bits, in order, onto the
+        bits from the current cost up fixes every arrived blend and maps
+        the later pool one to one into the pool used here, with no set
+        heavier.  So neither a smaller grant nor a later grant gives a
+        cheaper choice of distinct sets.
         """
         o = _Orientation(self.graph, code, self.mode, self.policy, self.prefix)
         need_out, floor, steps = o.need_out, o.floor, o.steps
@@ -779,7 +785,7 @@ class _Searcher:
         tick, policy, pool_for = self.clock.tick, self.policy, self._pool_for
         rise = [0] * self.graph.n
 
-        def close(ws, present, blends, cost, fresh, room):
+        def close(ws, present, blends, cost, room):
             """Write the rise of each newly closed vertex in ``ws`` and
             return their total, or inf if one has no pool large enough.
             Stop early once the total reaches ``room``: the branch is cut
@@ -790,7 +796,7 @@ class _Searcher:
                     break
                 held = present[w]
                 grant = _grant_mask(
-                    held, policy, fresh, min(need_out[w], budget - cost)
+                    held, policy, cost, min(need_out[w], budget - cost)
                 )
                 pool, _, cheapest = pool_for(held | grant, blends[w])
                 if len(pool) < t:
@@ -799,20 +805,21 @@ class _Searcher:
                 total += rise[w]
             return total
 
-        def dfs(
-            k, present, blends, avail, lb_rem, lift, cost, ssum, fresh, events
-        ):
-            if cost + lb_rem > budget:
-                return
+        def dfs(k, present, blends, avail, lb_rem, lift, cost, ssum):
             if k == len(steps):
                 # every arc is tattooed, so the floor is 0 and the cut
                 # before this call has made this a strict improvement
+                events = [
+                    (v, tuple((i, pool[pi]) for i, pi in zip(out, picks)))
+                    for v, out, picks, pool in path
+                ]
                 best.update(S=ssum, code=code, events=events, plan=plan)
                 return
             v, live, sinks, follows = steps[k]
+            out = live + sinks
             old, arrived = present[v], blends[v]
             lb_others = lb_rem - max(0, need_out[v] - avail[v])
-            todo = len(live) + len(sinks)
+            todo = len(out)
             # v's own share is charged in place, by the sets it takes
             lift_others = lift - rise[v]
             bound_base = ssum + floor[k + 1] + lift_others
@@ -864,19 +871,18 @@ class _Searcher:
                         # which raises its share of the bound if positive
                         new_lb += need_out[h] >= new_avail[h]
                         new_avail[h] -= 1
+                if cost + extra + new_lb > budget:
+                    return
                 # what the newly closed vertices may add before the cut
                 room = (
                     inf if best["S"] is None else best["S"] - bound_base - add
                 )
                 raised = close(
-                    closing[k + 1], new_present, new_blends, cost + extra,
-                    fresh + extra, room,
+                    closing[k + 1], new_present, new_blends, cost + extra, room
                 )
                 if raised >= room:
                     return
-                assignment = sorted(
-                    (i, pool[pi]) for i, pi in zip(live + sinks, all_picks)
-                )
+                path.append((v, out, all_picks, pool))
                 dfs(
                     k + 1,
                     new_present,
@@ -886,14 +892,13 @@ class _Searcher:
                     lift_others + raised,
                     cost + extra,
                     ssum + add,
-                    fresh + extra,  # read only under FRESH
-                    events + [(v, tuple(assignment))],
                 )
+                path.pop()
 
             for extra in range(need_out[v] + 1):
                 if cost + extra + lb_others > budget:
                     break
-                granted = _grant_mask(old, policy, fresh, extra)
+                granted = _grant_mask(old, policy, cost, extra)
                 pool, weights, cheapest = pool_for(old | granted, arrived)
                 if len(pool) >= todo:
                     used = [False] * len(pool)
@@ -901,27 +906,29 @@ class _Searcher:
 
         n = self.graph.n
         if policy is Policy.SMALLEST:
-            starts = [((), [0] * n, 1, 0)]
+            starts = [((), [0] * n, 0)]
         else:
             starts = self._fresh_starts(o, budget)
         blends0 = [frozenset()] * n
-        for plan, present0, fresh0, cost0 in starts:
+        path = []  # per firing: vertex, arcs, their pool positions, pool
+        for plan, present0, cost0 in starts:
             tick()
             avail = [
                 bin(p).count("1") + o.digraph.in_degree(v)
                 for v, p in enumerate(present0)
             ]
             lb_rem = sum(max(0, need - a) for need, a in zip(need_out, avail))
+            if cost0 + lb_rem > budget:
+                continue
             room = inf if best["S"] is None else best["S"] - floor[0]
-            lift = close(closing[0], present0, blends0, cost0, fresh0, room)
+            lift = close(closing[0], present0, blends0, cost0, room)
             if lift >= room:
                 continue
-            dfs(
-                0, present0, blends0, avail, lb_rem, lift, cost0, 0, fresh0, []
-            )
+            dfs(0, present0, blends0, avail, lb_rem, lift, cost0, 0)
 
     def _fresh_starts(self, o: _Orientation, budget: int):
-        """Initial allocation count vectors for the FRESH policy."""
+        """The FRESH policy's initial allocations, as ``(plan, held
+        masks, cost)``, cheapest first."""
         n = self.graph.n
         caps = o.need_out
         spots = [v for v in range(n) if caps[v] > 0]
@@ -930,11 +937,11 @@ class _Searcher:
         def rec(idx: int, acc: list[tuple[int, int]], used: int):
             if idx == len(spots):
                 present = [0] * n
-                fresh = 1
+                issued = 0
                 for v, k in acc:
-                    present[v] = ((1 << k) - 1) << (fresh - 1)
-                    fresh += k
-                out.append((tuple(acc), present, fresh, used))
+                    present[v] = ((1 << k) - 1) << issued
+                    issued += k
+                out.append((tuple(acc), present, used))
                 return
             v = spots[idx]
             for k in range(0, min(caps[v], budget - used) + 1):
@@ -945,7 +952,7 @@ class _Searcher:
                     acc.pop()
 
         rec(0, [], 0)
-        out.sort(key=lambda s: (s[3], s[0]))
+        out.sort(key=lambda s: (s[2], s[0]))
         return out
 
     def _pool_for(self, held: int, arrived: frozenset[int]):
@@ -990,18 +997,12 @@ class _Searcher:
             for _, mask in assignment0:
                 refs |= mask
             plan = ((v0, bin(refs).count("1")),)
-        events = []
-        for v, assignment in raw_events:
-            events.append(
-                FireEvent(
-                    v,
-                    tuple(
-                        (i, ColourSet.from_mask(mask))
-                        for i, mask in assignment
-                    ),
-                )
-            )
-        return Witness(code, self.policy, plan, tuple(events))
+        # each FireEvent orders its assignment by arc
+        events = tuple(
+            FireEvent(v, tuple((i, ColourSet.from_mask(c)) for i, c in sets))
+            for v, sets in raw_events
+        )
+        return Witness(code, self.policy, plan, events)
 
     def _brush_witness(self, code: int) -> Witness:
         """Tokens for each vertex's out-degree surplus, then every vertex
@@ -1012,10 +1013,13 @@ class _Searcher:
             lack = d.out_degree(v) - d.in_degree(v)
             if lack > 0:
                 initial.append((v, lack))
-        events = tuple(
-            FireEvent(v) for v in d.topological_order() if d.out_arcs(v)
-        )
-        return Witness(code, self.policy, tuple(initial), events)
+        return Witness(code, self.policy, tuple(initial), _brush_events(d))
+
+
+def _brush_events(d: Digraph) -> tuple[FireEvent, ...]:
+    """A token run's firings: every vertex with out-arcs, smallest ready
+    id first."""
+    return tuple(FireEvent(v) for v in d.topological_order() if d.out_arcs(v))
 
 
 def _mp_context():
@@ -1096,21 +1100,15 @@ def ratio_set(
     m = digraph.graph.m
 
     if mode is Mode.BRUSH:
-        state = initial_state(digraph, mode, plan)
-        while True:
-            ready = ready_vertices(state)
-            if not ready:
-                break
-            before = state.cost
-            state = fire(state, ready[0])
-            if state.cost != before:
-                raise ValueError(
-                    "allocation cannot cover the orientation without "
-                    "augmentation"
-                )
-        if not state.complete:
-            raise ValueError("no schedule completes from this allocation")
-        return frozenset({Fraction(m, plan.total * state.label_sum)})
+        # a token run on an acyclic orientation always completes
+        events = _brush_events(digraph)
+        witness = Witness(digraph.bits(), plan.policy, plan.initial, events)
+        run = replay(digraph.graph, mode, witness)
+        if run.cost != plan.total:
+            raise ValueError(
+                "allocation cannot cover the orientation without augmentation"
+            )
+        return frozenset({run.index})
 
     # Pools never augment, so the cost stays fixed; the tattooed arcs fix
     # which vertex fires next; and colours are read only at vertices that

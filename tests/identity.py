@@ -1,9 +1,11 @@
-"""Digests of the search's outputs, to check a change that must keep them.
+"""Digests of the search's outputs, and its work, to check a change that
+must keep them.
 
 Run ``PYTHONPATH=src python tests/identity.py`` in a checkout of the
-change and in one of its parent, and compare what they print.  Each line
-is the sha256 of one part of the identity set, over the JSON documents
-of its reports (witnesses included, as the search golden writes them):
+change, and the same script with ``PYTHONPATH`` pointing at its parent's
+``src``, and compare what they print.  The first three lines are the
+sha256 of one part of the identity set each, over the JSON documents of
+its reports (witnesses included, as the search golden writes them):
 
 * ``corpus``: ``best_index`` on ``connected_graph_corpus(6)``;
 * ``fixed``: ``best_index_for_orientation`` on every acyclic orientation
@@ -11,8 +13,10 @@ of its reports (witnesses included, as the search golden writes them):
 * ``families``: ``best_index`` with two workers on the families of the
   search golden;
 
-each in every mode and under every policy.  Pytest does not collect this
-file, as its name does not start with ``test_``.
+each in every mode and under every policy.  The last line, ``ticks C F
+G``, sums the units of work (``_Searcher.clock.ticks``) of the same
+searches, the families run serially.  Pytest does not collect this file,
+as its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from functools import partial
 
 from test_search_golden import FAMILIES, LIMITS, _report_doc
 
@@ -29,11 +32,10 @@ from tattooing.graphs import (
     Graph,
     build_family,
     collect_acyclic_orientation_bits,
-    orient,
     parse_family_spec,
 )
 from tattooing.oracle import connected_graph_corpus
-from tattooing.search import best_index, best_index_for_orientation
+from tattooing.search import _Searcher
 
 
 def _label(graph: Graph) -> str:
@@ -41,47 +43,59 @@ def _label(graph: Graph) -> str:
 
 
 def corpus() -> list:
-    return [
-        (_label(g), partial(best_index, g)) for g in connected_graph_corpus(6)
-    ]
+    return [(_label(g), g, None) for g in connected_graph_corpus(6)]
 
 
 def fixed() -> list:
     return [
-        (
-            f"{_label(g)} {code}",
-            partial(best_index_for_orientation, orient(g, code)),
-        )
+        (f"{_label(g)} {code}", g, code)
         for g in connected_graph_corpus(5)
         for code in collect_acyclic_orientation_bits(g)
     ]
 
 
 def families() -> list:
-    cases = []
-    for spec in FAMILIES:
-        g = build_family(parse_family_spec(spec))
-        cases.append((spec, partial(best_index, g, workers=2)))
-    return cases
-
-
-def digest(cases: list) -> tuple[int, str]:
-    """Number of reports and the sha256 of their documents; each case is
-    a key and a search to call with a mode, a policy and limits."""
-    docs = [
-        [
-            f"{key} {mode.value} {policy.value}",
-            _report_doc(run(mode, policy, LIMITS)),
-        ]
-        for key, run in cases
-        for mode in Mode
-        for policy in Policy
+    return [
+        (spec, build_family(parse_family_spec(spec)), None)
+        for spec in FAMILIES
     ]
+
+
+def searches(cases: list, workers: int = 1) -> list:
+    """``(key, report, ticks)`` of each case in every mode and policy.
+
+    A case is a key, a graph and an orientation code: the search is built
+    as ``best_index`` builds it when the code is None, and as
+    ``best_index_for_orientation`` does otherwise."""
+    out = []
+    for key, graph, code in cases:
+        for mode in Mode:
+            for policy in Policy:
+                searcher = _Searcher(graph, mode, policy, LIMITS)
+                if code is None:
+                    report = searcher.run(workers=workers)
+                else:
+                    report = searcher.run_fixed(code)
+                label = f"{key} {mode.value} {policy.value}"
+                out.append((label, report, searcher.clock.ticks))
+    return out
+
+
+def digest(runs: list) -> tuple[int, str]:
+    """Number of reports and the sha256 of their documents."""
+    docs = [[label, _report_doc(report)] for label, report, _ in runs]
     text = json.dumps(docs, sort_keys=True)
     return len(docs), hashlib.sha256(text.encode()).hexdigest()
 
 
 if __name__ == "__main__":
-    for part in (corpus, fixed, families):
-        size, sha = digest(part())
+    ticks = []
+    for part, workers in ((corpus, 1), (fixed, 1), (families, 2)):
+        cases = part()
+        runs = searches(cases, workers)
+        size, sha = digest(runs)
         sys.stdout.write(f"{part.__name__} {size} {sha}\n")
+        if workers > 1:
+            runs = searches(cases)
+        ticks.append(sum(t for _, _, t in runs))
+    sys.stdout.write(f"ticks {' '.join(map(str, ticks))}\n")

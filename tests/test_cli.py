@@ -170,6 +170,21 @@ class TestCompute:
         assert err.startswith("refused: ")
         assert "25" in err
 
+    def test_over_limit_family_is_refused_unbuilt(self, capsys, monkeypatch):
+        def unbuilt(spec):
+            raise AssertionError(f"built {spec}")
+
+        monkeypatch.delenv("TATTOO_MAX_EDGES", raising=False)
+        monkeypatch.setattr(cli, "build_family", unbuilt)
+        code, out, err = run(
+            capsys, "compute", "--family", "cycle:30", "--quantity", "tau"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "refused: graph has 30 edges, limit is 22 "
+            "(raise TATTOO_MAX_EDGES or pass a larger limit)\n"
+        )
+
     def test_max_edges_flag_lowers_limit(self, capsys):
         code, _, _ = run(
             capsys,
@@ -239,18 +254,25 @@ class TestComputeOrientation:
         assert err == "error: orientation code 8 out of range for 3 edges\n"
 
     @pytest.mark.parametrize(
-        "spec,ratios",
+        "spec,mode,ratios",
         [
-            ("cycle:3", ["3/8", "3/10", "3/14", "3/16"]),
-            ("cycle:5", ["5/12", "5/14", "5/18", "5/22", "5/26", "5/28"]),
+            ("cycle:3", "blend", ["3/8", "3/10", "3/14", "3/16"]),
+            (
+                "cycle:5",
+                "blend",
+                ["5/12", "5/14", "5/18", "5/22", "5/26", "5/28"],
+            ),
+            ("cycle:5", "brush", ["1/2"]),
         ],
     )
-    def test_ratio_set_values(self, capsys, spec, ratios):
+    def test_ratio_set_values(self, capsys, spec, mode, ratios):
         doc = run_json(
             capsys,
             "compute",
             "--family",
             spec,
+            "--mode",
+            mode,
             "--quantity",
             "ratio-set",
             "--orientation",
@@ -598,6 +620,55 @@ class TestReplay:
         code, out, err = run(capsys, "compute", "--replay", str(path))
         assert (code, out, err) == (expect, "", message + "\n")
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (
+                ("witness", "events", 1, "vertex"),
+                True,
+                "fired vertices are integers, got True",
+            ),
+            (
+                ("witness", "initial"),
+                [[False, 2]],
+                "allocation vertices and counts are integers, got (False, 2)",
+            ),
+            (
+                ("witness", "events", 0, "assignment", 0, 0),
+                False,
+                "arcs are integers, got [False, 1]",
+            ),
+            (
+                ("witness", "orientation"),
+                False,
+                "orientation codes are integers, got False",
+            ),
+            (
+                ("graph", "edge_list", 0),
+                [False, True],
+                "edge ends are integers, got (False, True)",
+            ),
+        ],
+        ids=["vertex", "initial", "arc", "orientation", "edge-list"],
+    )
+    def test_bool_is_no_integer(self, capsys, tmp_path, path, value, message):
+        # each of these once replayed as the first vertex, arc or code
+        doc = json.loads(
+            self.save(
+                capsys, tmp_path, "compute", "--family", "cycle:5",
+                "--quantity", "tau", "--no-timing",
+            ).read_text()
+        )
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compute", "--replay", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed document: {message}\n"
+
 
 def _paths(node, path=()):
     """The path to every value inside a JSON document, root excluded."""
@@ -810,6 +881,33 @@ def rows_of(text: str) -> list[dict]:
 
 
 class TestSweep:
+    def test_over_limit_rows_are_refused_unbuilt(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_family
+
+        def counted(spec):
+            built.append(str(spec))
+            return build(spec)
+
+        monkeypatch.delenv("TATTOO_MAX_EDGES", raising=False)
+        monkeypatch.setattr(cli, "build_family", counted)
+        code, out, _ = run(
+            capsys, "sweep", "--family", "cycle", "--n", "20..30",
+            "--no-timing",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "family,params,vertices,edges,br,btau,tau,labelsum,index,status",
+            "cycle,20,20,20,2,2,2,21,10/21,ok",
+            "cycle,21,21,21,2,2,2,22,21/44,ok",
+            "cycle,22,22,22,2,2,2,23,11/23,ok",
+        ] + [
+            f'cycle,{n},{n},{n},,,,,,"refused: graph has {n} edges, limit is '
+            f'22 (raise TATTOO_MAX_EDGES or pass a larger limit)"'
+            for n in range(23, 31)
+        ]
+        assert built == ["cycle:20", "cycle:21", "cycle:22"]
+
     def test_joost_grid(self, capsys):
         code, out, _ = run(
             capsys,

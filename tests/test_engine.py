@@ -102,6 +102,12 @@ class TestAllocationPlan:
         with pytest.raises(ValueError):
             AllocationPlan(((0, 1), (0, 2)), Policy.SMALLEST)
 
+    @pytest.mark.parametrize("pair", [(False, 2), (0, True), (0, 2.0)])
+    def test_non_integer_rejected(self, pair):
+        # a bool is an int to Python, not a vertex or a count
+        with pytest.raises(ValueError, match="are integers, got"):
+            AllocationPlan((pair,), Policy.SMALLEST)
+
 
 class TestRequiredPrimaries:
     @pytest.mark.parametrize(
@@ -130,7 +136,7 @@ class TestInitialState:
         st = initial_state(d, Mode.BLEND, plan)
         assert st.primaries_present[0] == (1, 2)
         assert st.primaries_present[2] == (3,)
-        assert st.next_fresh == 4
+        assert st.cost == 3
 
     def test_brush_allocates_tokens(self):
         d = orient(family("path:3"), 0)
@@ -226,7 +232,7 @@ class TestFireValidation:
         with pytest.raises(UnavailableColourSetError):
             fire(st, 1, ((2, cs(2)),))  # fresh grants 3, not a reused 2
         out = fire(st, 1, ((2, cs(3)),))
-        assert out.cost == 3 and out.next_fresh == 4
+        assert out.cost == 3
 
     def test_fsg_rejects_blends(self):
         st = initial_state(self.d, Mode.FSG, smallest_plan(v0=2))
@@ -323,6 +329,15 @@ class TestReplay:
         g = family("cycle:3")
         w = Witness(0, Policy.SMALLEST, ((0, 2),), self.TRIANGLE_EVENTS)
         return g, replay(g, Mode.BLEND, w)
+
+    def test_non_integer_fields_rejected(self):
+        # a bool is an int to Python, not a vertex, an arc or a code
+        with pytest.raises(ValueError, match="fired vertices are integers"):
+            FireEvent(True)
+        with pytest.raises(ValueError, match=r"arcs are integers, got \[1, 0.0\]"):
+            FireEvent(0, ((1, cs(2)), (0.0, cs(1))))
+        with pytest.raises(ValueError, match="orientation codes are integers"):
+            Witness(False, Policy.SMALLEST, ((0, 2),), self.TRIANGLE_EVENTS)
 
     def test_outcome_figures(self):
         _, out = self.outcome()

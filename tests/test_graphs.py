@@ -75,6 +75,20 @@ class TestGraph:
     def test_single_vertex_allowed(self):
         assert Graph(1, ()).m == 0
 
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            (True, (), "vertex count is an integer, got True"),
+            (2.0, ((0, 1),), "vertex count is an integer, got 2.0"),
+            (2, ((False, True),), r"edge ends are integers, got \(False, True\)"),
+            (2, ((0, 1.0),), r"edge ends are integers, got \(0, 1.0\)"),
+        ],
+    )
+    def test_non_integer_rejected(self, n, edges, message):
+        # a bool is an int to Python, not a vertex
+        with pytest.raises(ValueError, match=message):
+            Graph(n, edges)
+
     def test_adjacency_and_degree(self):
         g = family("star:3")
         assert g.adjacency()[0] == (1, 2, 3)
@@ -142,6 +156,9 @@ class TestFamilies:
     def test_sizes(self, text, n, m):
         g = family(text)
         assert (g.n, g.m) == (n, m)
+        # and from the spec alone, without building the graph
+        spec = parse_family_spec(text)
+        assert (spec.n, spec.m) == (n, m)
 
     def test_wheel_is_rim_plus_hub(self):
         w = family("wheel:4")

@@ -81,6 +81,10 @@ RECORDS = {
         "mode", "cost", "label_sum", "raw_ratio", "index", "witness",
         "orientations_searched",
     ],
+    "ProcessState": [
+        "digraph", "mode", "policy", "arc_status", "primaries_present",
+        "arrived_blends", "brush_tokens", "cost",
+    ],
 }
 
 

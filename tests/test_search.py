@@ -120,6 +120,17 @@ class TestRatioSet:
         with pytest.raises(ValueError):
             ratio_set(identity_orientation(g), Mode.BRUSH, source_plan(2))
 
+    @pytest.mark.parametrize(
+        "spec,count",
+        [("star:4", 4), ("star:4", 5), ("cycle:5", 2), ("friendship:3,2", 4)],
+    )
+    def test_brush_run_is_edges_over_tokens_and_arcs(self, spec, count):
+        # every arc takes one token, so the label sum is the edge count
+        # and the ratio is 1 / tokens
+        digraph = orient(family(spec), 0)
+        got = ratio_set(digraph, Mode.BRUSH, source_plan(count))
+        assert got == {Fraction(1, count)}
+
 
 def _reference_ratio_set(
     digraph: Digraph, mode: Mode, plan: AllocationPlan
