@@ -101,16 +101,13 @@ def _parse_allocation(text: str, policy: Policy) -> AllocationPlan:
         raise InputError(f"bad allocation {text!r}: use v:k[,v:k...]") from exc
 
 
-def _load_graph(args, limits: SearchLimits) -> tuple[Graph, str | None]:
-    """The graph of ``--family`` or ``--input``; a family spec over the
-    edge limit is refused before it is built."""
+def _load_graph(args) -> tuple[FamilySpec | Graph, str | None]:
+    """The spec of ``--family``, unbuilt, or the graph of ``--input``."""
     if args.family and args.input:
         raise InputError("give either --family or --input, not both")
     try:
         if args.family:
-            spec = parse_family_spec(args.family)
-            limits.check(spec)
-            return build_family(spec), args.family
+            return parse_family_spec(args.family), args.family
         if args.input:
             with open(args.input, encoding="utf-8") as handle:
                 return parse_edge_list(handle.read()), None
@@ -119,6 +116,15 @@ def _load_graph(args, limits: SearchLimits) -> tuple[Graph, str | None]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     raise InputError("a graph is required: --family SPEC or --input FILE")
+
+
+def _built(source: FamilySpec | Graph, limits: SearchLimits) -> Graph:
+    """The graph of a source; a family spec over the edge limit is
+    refused before it is built."""
+    if isinstance(source, Graph):
+        return source
+    limits.check(source)
+    return build_family(source)
 
 
 def _limits(args) -> SearchLimits:
@@ -240,6 +246,7 @@ def cmd_compute(args) -> int:
             "--workers applies only to a search over every orientation; "
             "drop it with --orientation or --quantity ratio-set"
         )
+    source, family = _load_graph(args)
     # ratio-set is not a Quantity; it implies no mode
     quantity = (
         None if args.quantity == "ratio-set" else Quantity(args.quantity)
@@ -250,7 +257,7 @@ def cmd_compute(args) -> int:
         raise InputError(str(exc)) from exc
     policy = Policy(args.policy)
     limits = _limits(args)
-    graph, family = _load_graph(args, limits)
+    graph = _built(source, limits)
     started = time.monotonic()
 
     doc = {
@@ -686,11 +693,7 @@ def _sweep_row(family, mode, policy, limits, instance) -> dict:
     row.update(vertices=source.n, edges=source.m)
     started = time.monotonic()
     try:
-        # a family spec over the edge limit is refused before it is built
-        limits.check(source)
-        graph = (
-            build_family(source) if isinstance(source, FamilySpec) else source
-        )
+        graph = _built(source, limits)
         # the chosen mode is one of the three cost modes
         reports = {}
         for quantity, cost_mode in COST_MODES.items():

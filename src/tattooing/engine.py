@@ -31,7 +31,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
-from tattooing.graphs import Digraph, Graph, orient
+from tattooing.graphs import Digraph, Graph, _ints, orient
 
 
 class Mode(Enum):
@@ -81,11 +81,7 @@ class ColourSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # ``type``, not ``isinstance``: a bool is no primary index
-        if not all(type(p) is int for p in self.members):
-            raise ValueError(
-                f"primary indices are integers, got {list(self.members)}"
-            )
+        _ints("primary indices", self.members)
         canon = tuple(sorted(set(self.members)))
         if not canon:
             raise ValueError("colour set must be non-empty")
@@ -133,11 +129,8 @@ class AllocationPlan:
     policy: Policy
 
     def __post_init__(self) -> None:
-        for v, k in self.initial:
-            if type(v) is not int or type(k) is not int:
-                raise ValueError(
-                    f"allocation vertices and counts are integers, got {(v, k)}"
-                )
+        for pair in self.initial:
+            _ints("allocation vertices and counts", pair)
         pairs = tuple(sorted(self.initial))
         if not pairs:
             raise ValueError("allocation plan must give at least one vertex something")
@@ -171,11 +164,8 @@ class FireEvent:
     assignment: tuple[tuple[int, ColourSet], ...] = ()
 
     def __post_init__(self) -> None:
-        if type(self.vertex) is not int:
-            raise ValueError(f"fired vertices are integers, got {self.vertex!r}")
-        arcs = [i for i, _ in self.assignment]
-        if not all(type(i) is int for i in arcs):
-            raise ValueError(f"arcs are integers, got {arcs}")
+        _ints("fired vertices", (self.vertex,))
+        _ints("arcs", [i for i, _ in self.assignment])
         object.__setattr__(
             self, "assignment", tuple(sorted(self.assignment, key=itemgetter(0)))
         )
@@ -191,10 +181,7 @@ class Witness:
     events: tuple[FireEvent, ...]
 
     def __post_init__(self) -> None:
-        if type(self.orientation) is not int:
-            raise ValueError(
-                f"orientation codes are integers, got {self.orientation!r}"
-            )
+        _ints("orientation codes", (self.orientation,))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,13 @@ from math import inf
 from operator import or_
 
 
+def _ints(what: str, values) -> None:
+    """Refuse ``values`` unless each is an ``int``: ``type``, not
+    ``isinstance``, as a bool is no vertex, arc, count or index."""
+    if not all(type(x) is int for x in values):
+        raise ValueError(f"{what} are integers, got {list(values)}")
+
+
 class EdgeListError(ValueError):
     """Base class for errors raised while building a graph from edge input."""
 
@@ -55,17 +62,14 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        # ``type``, not ``isinstance``: a bool is no vertex
-        if type(self.n) is not int:
-            raise ValueError(f"vertex count is an integer, got {self.n!r}")
+        _ints("vertex counts", (self.n,))
         if self.n < 1:
             raise ValueError(f"vertex count must be positive, got {self.n}")
         seen: set[tuple[int, int]] = set()
         canon: list[tuple[int, int]] = []
         for pair in self.edges:
             u, v = pair
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"edge ends are integers, got {(u, v)}")
+            _ints("edge ends", pair)
             if u == v:
                 raise SelfLoopError(f"loop at vertex {u}")
             if u > v:

@@ -1,11 +1,10 @@
-"""Digests of the search's outputs, and its work, to check a change that
-must keep them.
+"""Digests of the search's outputs, to check a change that must keep them.
 
 Run ``PYTHONPATH=src python tests/identity.py`` in a checkout of the
 change, and the same script with ``PYTHONPATH`` pointing at its parent's
-``src``, and compare what they print.  The first three lines are the
-sha256 of one part of the identity set each, over the JSON documents of
-its reports (witnesses included, as the search golden writes them):
+``src``, and compare what they print.  Each line is the sha256 of one
+part of the identity set, over the JSON documents of its reports
+(witnesses included, as the search golden writes them):
 
 * ``corpus``: ``best_index`` on ``connected_graph_corpus(6)``;
 * ``fixed``: ``best_index_for_orientation`` on every acyclic orientation
@@ -13,10 +12,11 @@ its reports (witnesses included, as the search golden writes them):
 * ``families``: ``best_index`` with two workers on the families of the
   search golden;
 
-each in every mode and under every policy.  The last line, ``ticks C F
-G``, sums the units of work (``_Searcher.clock.ticks``) of the same
-searches, the families run serially.  Pytest does not collect this file,
-as its name does not start with ``test_``.
+each in every mode and under every policy.  With ``--ticks`` a last
+line, ``ticks C F G``, sums the units of work (``_Searcher.clock.ticks``)
+of the same searches; the families are searched once more, serially, for
+``G``, as the ticks of worker processes do not come back.  Pytest does
+not collect this file, as its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -24,18 +24,34 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from functools import partial
 
 from test_search_golden import FAMILIES, LIMITS, _report_doc
 
+from tattooing import search
 from tattooing.engine import Mode, Policy
 from tattooing.graphs import (
     Graph,
     build_family,
     collect_acyclic_orientation_bits,
+    orient,
     parse_family_spec,
 )
 from tattooing.oracle import connected_graph_corpus
-from tattooing.search import _Searcher
+from tattooing.search import best_index, best_index_for_orientation
+
+# the clock of every search built in this process, as the public entry
+# points build it
+_clocks: list = []
+
+
+class _Noted(search._Searcher):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _clocks.append(self.clock)
+
+
+search._Searcher = _Noted
 
 
 def _label(graph: Graph) -> str:
@@ -43,59 +59,55 @@ def _label(graph: Graph) -> str:
 
 
 def corpus() -> list:
-    return [(_label(g), g, None) for g in connected_graph_corpus(6)]
+    return [
+        (_label(g), partial(best_index, g)) for g in connected_graph_corpus(6)
+    ]
 
 
 def fixed() -> list:
     return [
-        (f"{_label(g)} {code}", g, code)
+        (
+            f"{_label(g)} {code}",
+            partial(best_index_for_orientation, orient(g, code)),
+        )
         for g in connected_graph_corpus(5)
         for code in collect_acyclic_orientation_bits(g)
     ]
 
 
-def families() -> list:
-    return [
-        (spec, build_family(parse_family_spec(spec)), None)
-        for spec in FAMILIES
+def families(workers: int = 2) -> list:
+    cases = []
+    for spec in FAMILIES:
+        g = build_family(parse_family_spec(spec))
+        cases.append((spec, partial(best_index, g, workers=workers)))
+    return cases
+
+
+def digest(cases: list) -> tuple[int, str, int]:
+    """Number of reports, the sha256 of their documents and the ticks of
+    the searches run in this process; each case is a key and a search to
+    call with a mode, a policy and limits."""
+    _clocks.clear()
+    docs = [
+        [
+            f"{key} {mode.value} {policy.value}",
+            _report_doc(run(mode, policy, LIMITS)),
+        ]
+        for key, run in cases
+        for mode in Mode
+        for policy in Policy
     ]
-
-
-def searches(cases: list, workers: int = 1) -> list:
-    """``(key, report, ticks)`` of each case in every mode and policy.
-
-    A case is a key, a graph and an orientation code: the search is built
-    as ``best_index`` builds it when the code is None, and as
-    ``best_index_for_orientation`` does otherwise."""
-    out = []
-    for key, graph, code in cases:
-        for mode in Mode:
-            for policy in Policy:
-                searcher = _Searcher(graph, mode, policy, LIMITS)
-                if code is None:
-                    report = searcher.run(workers=workers)
-                else:
-                    report = searcher.run_fixed(code)
-                label = f"{key} {mode.value} {policy.value}"
-                out.append((label, report, searcher.clock.ticks))
-    return out
-
-
-def digest(runs: list) -> tuple[int, str]:
-    """Number of reports and the sha256 of their documents."""
-    docs = [[label, _report_doc(report)] for label, report, _ in runs]
     text = json.dumps(docs, sort_keys=True)
-    return len(docs), hashlib.sha256(text.encode()).hexdigest()
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    return len(docs), sha, sum(clock.ticks for clock in _clocks)
 
 
 if __name__ == "__main__":
-    ticks = []
-    for part, workers in ((corpus, 1), (fixed, 1), (families, 2)):
-        cases = part()
-        runs = searches(cases, workers)
-        size, sha = digest(runs)
+    work = []
+    for part in (corpus, fixed, families):
+        size, sha, ticks = digest(part())
         sys.stdout.write(f"{part.__name__} {size} {sha}\n")
-        if workers > 1:
-            runs = searches(cases)
-        ticks.append(sum(t for _, _, t in runs))
-    sys.stdout.write(f"ticks {' '.join(map(str, ticks))}\n")
+        work.append(ticks)
+    if "--ticks" in sys.argv[1:]:
+        work[-1] = digest(families(workers=1))[2]
+        sys.stdout.write(f"ticks {' '.join(map(str, work))}\n")

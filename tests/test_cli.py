@@ -185,6 +185,22 @@ class TestCompute:
             "(raise TATTOO_MAX_EDGES or pass a larger limit)\n"
         )
 
+    @pytest.mark.parametrize(
+        "extra,env",
+        [(("--mode", "fsg"), None), ((), "abc")],
+        ids=["mode", "limit-variable"],
+    )
+    def test_graph_error_comes_first(self, capsys, monkeypatch, extra, env):
+        # the spec is read before the mode and the limits, as is the
+        # graph it names
+        if env is not None:
+            monkeypatch.setenv("TATTOO_MAX_EDGES", env)
+        code, _, err = run(
+            capsys, "compute", "--family", "nope:3", "--quantity", "tau", *extra
+        )
+        assert code == 2
+        assert err.startswith("error: unknown family 'nope'")
+
     def test_max_edges_flag_lowers_limit(self, capsys):
         code, _, _ = run(
             capsys,
@@ -254,25 +270,18 @@ class TestComputeOrientation:
         assert err == "error: orientation code 8 out of range for 3 edges\n"
 
     @pytest.mark.parametrize(
-        "spec,mode,ratios",
+        "spec,ratios",
         [
-            ("cycle:3", "blend", ["3/8", "3/10", "3/14", "3/16"]),
-            (
-                "cycle:5",
-                "blend",
-                ["5/12", "5/14", "5/18", "5/22", "5/26", "5/28"],
-            ),
-            ("cycle:5", "brush", ["1/2"]),
+            ("cycle:3", ["3/8", "3/10", "3/14", "3/16"]),
+            ("cycle:5", ["5/12", "5/14", "5/18", "5/22", "5/26", "5/28"]),
         ],
     )
-    def test_ratio_set_values(self, capsys, spec, mode, ratios):
+    def test_ratio_set_values(self, capsys, spec, ratios):
         doc = run_json(
             capsys,
             "compute",
             "--family",
             spec,
-            "--mode",
-            mode,
             "--quantity",
             "ratio-set",
             "--orientation",
@@ -282,6 +291,26 @@ class TestComputeOrientation:
             "--no-timing",
         )
         assert doc["value"] == ratios
+        assert doc["witness"] is None
+
+    def test_brush_ratio_set_value(self, capsys):
+        # every arc takes one of the two tokens
+        doc = run_json(
+            capsys,
+            "compute",
+            "--family",
+            "cycle:5",
+            "--mode",
+            "brush",
+            "--quantity",
+            "ratio-set",
+            "--orientation",
+            "0",
+            "--allocate",
+            "0:2",
+            "--no-timing",
+        )
+        assert doc["value"] == ["1/2"]
         assert doc["witness"] is None
 
     def test_ratio_set_needs_orientation_and_allocation(self, capsys):
@@ -626,12 +655,12 @@ class TestReplay:
             (
                 ("witness", "events", 1, "vertex"),
                 True,
-                "fired vertices are integers, got True",
+                "fired vertices are integers, got [True]",
             ),
             (
                 ("witness", "initial"),
                 [[False, 2]],
-                "allocation vertices and counts are integers, got (False, 2)",
+                "allocation vertices and counts are integers, got [False, 2]",
             ),
             (
                 ("witness", "events", 0, "assignment", 0, 0),
@@ -641,12 +670,12 @@ class TestReplay:
             (
                 ("witness", "orientation"),
                 False,
-                "orientation codes are integers, got False",
+                "orientation codes are integers, got [False]",
             ),
             (
                 ("graph", "edge_list", 0),
                 [False, True],
-                "edge ends are integers, got (False, True)",
+                "edge ends are integers, got [False, True]",
             ),
         ],
         ids=["vertex", "initial", "arc", "orientation", "edge-list"],

@@ -78,10 +78,10 @@ class TestGraph:
     @pytest.mark.parametrize(
         "n,edges,message",
         [
-            (True, (), "vertex count is an integer, got True"),
-            (2.0, ((0, 1),), "vertex count is an integer, got 2.0"),
-            (2, ((False, True),), r"edge ends are integers, got \(False, True\)"),
-            (2, ((0, 1.0),), r"edge ends are integers, got \(0, 1.0\)"),
+            (True, (), r"vertex counts are integers, got \[True\]"),
+            (2.0, ((0, 1),), r"vertex counts are integers, got \[2.0\]"),
+            (2, ((False, True),), r"edge ends are integers, got \[False, True\]"),
+            (2, ((0, 1.0),), r"edge ends are integers, got \[0, 1.0\]"),
         ],
     )
     def test_non_integer_rejected(self, n, edges, message):
