@@ -45,6 +45,14 @@ class Policy(Enum):
     FRESH = "fresh"
 
 
+def _member(name: str, value, kind: type[Enum]) -> None:
+    """Refuse ``value`` unless it is a member of ``kind``: the process
+    branches on ``is``, so a string of a member's value would mix the
+    rules of two members."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 class EngineError(Exception):
     """Base class for violations of the process rules."""
 
@@ -129,6 +137,7 @@ class AllocationPlan:
     policy: Policy
 
     def __post_init__(self) -> None:
+        _member("policy", self.policy, Policy)
         for pair in self.initial:
             _ints("allocation vertices and counts", pair)
         pairs = tuple(sorted(self.initial))
@@ -182,6 +191,7 @@ class Witness:
 
     def __post_init__(self) -> None:
         _ints("orientation codes", (self.orientation,))
+        _member("policy", self.policy, Policy)
 
 
 @dataclass(frozen=True)
@@ -243,6 +253,7 @@ def required_primaries(demand: int, mode: Mode) -> int:
 
 def initial_state(digraph: Digraph, mode: Mode, plan: AllocationPlan) -> ProcessState:
     """Apply the initial allocation; nothing has fired yet."""
+    _member("mode", mode, Mode)
     g = digraph.graph
     if g.m == 0:
         raise ValueError("the process needs at least one edge")

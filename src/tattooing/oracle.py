@@ -109,6 +109,10 @@ def oracle_invariants(
     defaults to the edge count, which is always enough: tattooing from
     in-arc arrivals alone costs at most one primary per arc.
     """
+    if not isinstance(mode, Mode):
+        raise TypeError(f"mode must be a Mode, got {mode!r}")
+    if not isinstance(policy, Policy):
+        raise TypeError(f"policy must be a Policy, got {policy!r}")
     m = graph.m
     if m == 0:
         raise ValueError("the process needs at least one edge")

@@ -109,6 +109,7 @@ from tattooing.engine import (
     Policy,
     ReplayError,
     Witness,
+    _member,
     fire,
     initial_state,
     mutate_pool,
@@ -471,6 +472,8 @@ class _Searcher:
     def __init__(
         self, graph: Graph, mode: Mode, policy: Policy, limits: SearchLimits
     ):
+        _member("mode", mode, Mode)
+        _member("policy", policy, Policy)
         limits.check(graph)
         self.graph = graph
         self.mode = mode
@@ -669,7 +672,7 @@ class _Searcher:
                         pool.terminate()
                     pool, size = self._start_pool(want), want
                 best = self._search_level(c, reps, pool, size)
-                if best["S"] is not None:
+                if best["S"] < inf:
                     break
         finally:
             _worker = None
@@ -706,7 +709,7 @@ class _Searcher:
         results = pool.map(_exhaust_chunk, chunks)
         # with no completion anywhere, any worker's empty record will do
         return min(
-            (b for b in results if b["S"] is not None),
+            (b for b in results if b["S"] < inf),
             key=lambda b: (b["S"], b["code"]),
             default=results[0],
         )
@@ -714,7 +717,7 @@ class _Searcher:
     def _exhaust(self, budget: int, codes: list[int]) -> dict:
         """Least label sum at cost at most ``budget`` over ``codes``, as
         the ``best`` record of :meth:`_probe`."""
-        best: dict = {"S": None, "code": None, "events": None, "plan": None}
+        best: dict = {"S": inf, "code": None, "events": None, "plan": None}
         for code in codes:
             self.clock.tick()
             self._probe(code, budget, best)
@@ -745,12 +748,12 @@ class _Searcher:
         gives the live arcs every injective assignment of pool sets
         (``place``, ascending within an exchange class), gives the arcs
         into sinks the cheapest sets left, and recurses on the colour
-        state that leaves.  Both coordinates are cut by admissible
-        bounds: ``cost + lb_rem`` against the budget, and the label sum
-        so far plus the floor (or the cheapest sets still to place)
-        against the incumbent, where a child is built or a start is set
-        up.  The firings above the current depth are one ``path`` of
-        references, turned into events only when the incumbent improves.
+        state that leaves.  Every child and every start passes ``admit``,
+        which cuts on two admissible bounds: ``cost + lb_rem`` against
+        the budget, and the label sum so far plus the floor against the
+        incumbent (``inf`` at first); ``place`` also cuts on the cheapest
+        sets still to place.  The firings above the current depth are one
+        ``path`` of references, turned into events when ``best`` improves.
 
         The floor charges a vertex still to fire ``prefix[out-degree]``,
         the cheapest distinct sets any pool could offer, until the vertex
@@ -785,25 +788,28 @@ class _Searcher:
         tick, policy, pool_for = self.clock.tick, self.policy, self._pool_for
         rise = [0] * self.graph.n
 
-        def close(ws, present, blends, cost, room):
-            """Write the rise of each newly closed vertex in ``ws`` and
-            return their total, or inf if one has no pool large enough.
-            Stop early once the total reaches ``room``: the branch is cut
-            then, and no rise left unwritten is read."""
+        def admit(k, present, blends, lb, cost, base):
+            """One tick, then the rises of the vertices in ``closing[k]``,
+            or None to cut: on ``cost + lb``, on a pool too small, or on
+            ``base`` plus the rises reaching the incumbent."""
+            tick()
+            if cost + lb > budget:
+                return None
+            room = best["S"] - base
             total = 0
-            for w, t in ws:
+            for w, t in closing[k]:
                 if total >= room:
-                    break
+                    return None
                 held = present[w]
                 grant = _grant_mask(
                     held, policy, cost, min(need_out[w], budget - cost)
                 )
                 pool, _, cheapest = pool_for(held | grant, blends[w])
                 if len(pool) < t:
-                    return inf
+                    return None
                 rise[w] = cheapest[t] - prefix[t]
                 total += rise[w]
-            return total
+            return None if total >= room else total
 
         def dfs(k, present, blends, avail, lb_rem, lift, cost, ssum):
             if k == len(steps):
@@ -828,10 +834,7 @@ class _Searcher:
             def place(pos: int, add: int) -> None:
                 """Put each unused pool set on live arc ``pos`` in turn;
                 past the last live arc, fire ``v``."""
-                if (
-                    best["S"] is not None
-                    and bound_base + add + cheapest[todo - pos] >= best["S"]
-                ):
+                if bound_base + add + cheapest[todo - pos] >= best["S"]:
                     return
                 if pos < len(live):
                     f = follows[pos]
@@ -853,8 +856,6 @@ class _Searcher:
                         refs |= pool[pi] & ~old
                 if refs != granted:
                     return
-                # a child: one unit of work, whether cut or searched
-                tick()
                 new_present, new_blends = list(present), list(blends)
                 new_avail, new_lb = list(avail), lb_others
                 # colours are read only at heads that fire later
@@ -871,16 +872,15 @@ class _Searcher:
                         # which raises its share of the bound if positive
                         new_lb += need_out[h] >= new_avail[h]
                         new_avail[h] -= 1
-                if cost + extra + new_lb > budget:
-                    return
-                # what the newly closed vertices may add before the cut
-                room = (
-                    inf if best["S"] is None else best["S"] - bound_base - add
+                raised = admit(
+                    k + 1,
+                    new_present,
+                    new_blends,
+                    new_lb,
+                    cost + extra,
+                    bound_base + add,
                 )
-                raised = close(
-                    closing[k + 1], new_present, new_blends, cost + extra, room
-                )
-                if raised >= room:
+                if raised is None:
                     return
                 path.append((v, out, all_picks, pool))
                 dfs(
@@ -912,19 +912,14 @@ class _Searcher:
         blends0 = [frozenset()] * n
         path = []  # per firing: vertex, arcs, their pool positions, pool
         for plan, present0, cost0 in starts:
-            tick()
             avail = [
                 bin(p).count("1") + o.digraph.in_degree(v)
                 for v, p in enumerate(present0)
             ]
             lb_rem = sum(max(0, need - a) for need, a in zip(need_out, avail))
-            if cost0 + lb_rem > budget:
-                continue
-            room = inf if best["S"] is None else best["S"] - floor[0]
-            lift = close(closing[0], present0, blends0, cost0, room)
-            if lift >= room:
-                continue
-            dfs(0, present0, blends0, avail, lb_rem, lift, cost0, 0)
+            lift = admit(0, present0, blends0, lb_rem, cost0, floor[0])
+            if lift is not None:
+                dfs(0, present0, blends0, avail, lb_rem, lift, cost0, 0)
 
     def _fresh_starts(self, o: _Orientation, budget: int):
         """The FRESH policy's initial allocations, as ``(plan, held
@@ -1135,7 +1130,7 @@ def ratio_set(
             return memo[key]
         ready = ready_vertices(state)
         if not ready:
-            found = {0} if state.complete else set()
+            found = {0}
         else:
             v = ready[0]
             todo = state.untattooed_out(v)

@@ -11,12 +11,17 @@ part of the identity set, over the JSON documents of its reports
   of ``connected_graph_corpus(5)``;
 * ``families``: ``best_index`` with two workers on the families of the
   search golden;
+* ``ratios``: ``ratio_set`` on every acyclic orientation of
+  ``connected_graph_corpus(5)``, with one and then two primaries at
+  every source, each ratio set written as its sorted ratio strings or
+  its ``ValueError`` text;
 
 each in every mode and under every policy.  With ``--ticks`` a last
 line, ``ticks C F G``, sums the units of work (``_Searcher.clock.ticks``)
-of the same searches; the families are searched once more, serially, for
-``G``, as the ticks of worker processes do not come back.  Pytest does
-not collect this file, as its name does not start with ``test_``.
+of the searches of the first three parts; the families are searched once
+more, serially, for ``G``, as the ticks of worker processes do not come
+back.  Pytest does not collect this file, as its name does not start
+with ``test_``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import partial
 from test_search_golden import FAMILIES, LIMITS, _report_doc
 
 from tattooing import search
-from tattooing.engine import Mode, Policy
+from tattooing.engine import AllocationPlan, Mode, Policy
 from tattooing.graphs import (
     Graph,
     build_family,
@@ -38,7 +43,7 @@ from tattooing.graphs import (
     parse_family_spec,
 )
 from tattooing.oracle import connected_graph_corpus
-from tattooing.search import best_index, best_index_for_orientation
+from tattooing.search import best_index, best_index_for_orientation, ratio_set
 
 # the clock of every search built in this process, as the public entry
 # points build it
@@ -83,6 +88,36 @@ def families(workers: int = 2) -> list:
     return cases
 
 
+def ratios() -> list:
+    """The ratio sets of the ``ratios`` part, one document each."""
+    docs = []
+    for g in connected_graph_corpus(5):
+        for code in collect_acyclic_orientation_bits(g):
+            d = orient(g, code)
+            sources = [v for v in range(g.n) if d.in_degree(v) == 0]
+            for mode in Mode:
+                for policy in Policy:
+                    for k in (1, 2):
+                        plan = AllocationPlan.from_counts(
+                            dict.fromkeys(sources, k), policy
+                        )
+                        try:
+                            got = sorted(
+                                map(str, ratio_set(d, mode, plan, LIMITS))
+                            )
+                        except ValueError as e:
+                            got = str(e)
+                        docs.append(
+                            [_label(g), code, mode.value, policy.value, k, got]
+                        )
+    return docs
+
+
+def _sha(docs: list) -> str:
+    text = json.dumps(docs, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def digest(cases: list) -> tuple[int, str, int]:
     """Number of reports, the sha256 of their documents and the ticks of
     the searches run in this process; each case is a key and a search to
@@ -97,9 +132,7 @@ def digest(cases: list) -> tuple[int, str, int]:
         for mode in Mode
         for policy in Policy
     ]
-    text = json.dumps(docs, sort_keys=True)
-    sha = hashlib.sha256(text.encode()).hexdigest()
-    return len(docs), sha, sum(clock.ticks for clock in _clocks)
+    return len(docs), _sha(docs), sum(clock.ticks for clock in _clocks)
 
 
 if __name__ == "__main__":
@@ -108,6 +141,8 @@ if __name__ == "__main__":
         size, sha, ticks = digest(part())
         sys.stdout.write(f"{part.__name__} {size} {sha}\n")
         work.append(ticks)
+    docs = ratios()
+    sys.stdout.write(f"ratios {len(docs)} {_sha(docs)}\n")
     if "--ticks" in sys.argv[1:]:
         work[-1] = digest(families(workers=1))[2]
         sys.stdout.write(f"ticks {' '.join(map(str, work))}\n")

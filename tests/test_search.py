@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing.pool
 import time
 from fractions import Fraction
@@ -21,6 +22,7 @@ from tattooing.engine import (
     Outcome,
     Policy,
     ReplayError,
+    Witness,
     fire,
     initial_state,
     ready_vertices,
@@ -613,7 +615,7 @@ class TestPoolFloor:
 
         def ticks_without_incumbent() -> int:
             searcher = search._Searcher(g, Mode.BLEND, Policy.SMALLEST, NO_CAP)
-            searcher._probe(0, 2, Unset(S=None))
+            searcher._probe(0, 2, Unset(S=math.inf))
             return searcher.clock.ticks
 
         pool = search._Searcher(g, Mode.BLEND, Policy.SMALLEST, NO_CAP)
@@ -625,6 +627,114 @@ class TestPoolFloor:
         prefix = search._Searcher(g, Mode.BLEND, Policy.SMALLEST, NO_CAP)
         assert prefix.run_fixed(0) == report
         assert cut < ticks_without_incumbent()
+
+
+def _seeded_probe(graph, mode, policy, code, budget, seed):
+    """The ``best`` record one orientation's probe leaves, started from
+    the incumbent ``seed``, and the ticks it took."""
+    searcher = search._Searcher(graph, mode, policy, NO_CAP)
+    best = {"S": seed, "code": None, "events": None, "plan": None}
+    searcher._probe(code, budget, best)
+    return best, searcher.clock.ticks
+
+
+class TestSeededIncumbent:
+    """An incumbent preset above the least label sum keeps the witness,
+    the premise of seeding the FRESH search with a first dive."""
+
+    @pytest.mark.parametrize("mode", [Mode.FSG, Mode.BLEND])
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_seed_above_the_optimum_keeps_the_witness(self, mode, policy):
+        for g in connected_graph_corpus(6):
+            report = best_index(g, mode, policy, NO_CAP)
+            code, least = report.witness.orientation, report.label_sum
+            (free, free_ticks), (above, above_ticks), (at, at_ticks) = (
+                _seeded_probe(g, mode, policy, code, report.cost, seed)
+                for seed in (math.inf, least + 1, least)
+            )
+            assert (free["S"], free["code"]) == (least, code), g
+            assert above == free, g
+            # a seed at the optimum leaves nothing to improve on
+            assert at == dict(S=least, code=None, events=None, plan=None)
+            assert at_ticks <= above_ticks <= free_ticks, g
+
+
+class TestEnumArguments:
+    """A mode or policy given as its string value is refused: the search,
+    the engine and the oracle branch on ``is``, so a string would mix
+    the rules of two members, and the replay would mix them the same
+    way."""
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            pytest.param(
+                "mode",
+                lambda: best_index(family("star:4"), "blend"),
+                id="best_index-mode",
+            ),
+            pytest.param(
+                "policy",
+                lambda: best_index(family("friendship:3,3"), Mode.FSG, "fresh"),
+                id="best_index-policy",
+            ),
+            pytest.param(
+                "policy",
+                lambda: best_index_for_orientation(
+                    identity_orientation(family("star:4")), Mode.BLEND, "fresh"
+                ),
+                id="best_index_for_orientation",
+            ),
+            pytest.param(
+                "mode",
+                lambda: ratio_set(
+                    orient(family("cycle:5"), 0), "fsg", source_plan(2)
+                ),
+                id="ratio_set",
+            ),
+            pytest.param(
+                "mode",
+                lambda: initial_state(
+                    identity_orientation(family("star:4")),
+                    "blend",
+                    source_plan(2),
+                ),
+                id="initial_state",
+            ),
+            pytest.param(
+                "mode",
+                lambda: replay(
+                    family("star:4"),
+                    "blend",
+                    best_index(family("star:4"), Mode.BLEND).witness,
+                ),
+                id="replay",
+            ),
+            pytest.param(
+                "policy",
+                lambda: AllocationPlan(((0, 1),), "fresh"),
+                id="AllocationPlan",
+            ),
+            pytest.param(
+                "policy",
+                lambda: Witness(0, "fresh", ((0, 1),), ()),
+                id="Witness",
+            ),
+            pytest.param(
+                "mode",
+                lambda: oracle_invariants(family("star:4"), "blend"),
+                id="oracle_invariants-mode",
+            ),
+            pytest.param(
+                "policy",
+                lambda: oracle_invariants(family("star:4"), Mode.FSG, "fresh"),
+                id="oracle_invariants-policy",
+            ),
+        ],
+    )
+    def test_string_value_is_refused(self, name, call):
+        with pytest.raises(TypeError, match=f"^{name} must be a "):
+            call()
 
 
 class TestFreshPolicy:
