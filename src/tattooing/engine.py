@@ -20,14 +20,18 @@ Modes restrict the pool.  BLEND allows every non-empty subset of the
 present primaries plus arrived blends; FSG allows singletons only; BRUSH
 replaces colours with anonymous tokens, one per arc, so firing involves
 no choices at all.
+
+The pool, its order and the policy's grant are stated here once, on
+masks whose bit i is primary i + 1 (``_pool_masks``, ``_sort_key``,
+``_grant_mask``); the search uses them too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -266,14 +270,12 @@ def initial_state(digraph: Digraph, mode: Mode, plan: AllocationPlan) -> Process
     if mode is Mode.BRUSH:
         for v, k in plan.initial:
             tokens[v] = k
-    elif plan.policy is Policy.SMALLEST:
-        for v, k in plan.initial:
-            present[v] = tuple(range(1, k + 1))
     else:
         issued = 0
         for v, k in plan.initial:
             present[v] = tuple(range(issued + 1, issued + k + 1))
-            issued += k
+            if plan.policy is Policy.FRESH:
+                issued += k
     return ProcessState(
         digraph=digraph,
         mode=mode,
@@ -297,6 +299,61 @@ def ready_vertices(state: ProcessState) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.cache
+def _sort_key(mask: int) -> tuple[int, int, tuple[int, ...]]:
+    members = tuple(
+        i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1
+    )
+    return (sum(members), len(members), members)
+
+
+def _pool_masks(
+    held: int,
+    arrived: Iterable[int],
+    mode: Mode,
+    check: Callable[[], None] | None = None,
+) -> list[int]:
+    """The pool of :func:`mutate_pool` on masks: BLEND every submask of
+    ``held`` then each arrived blend not among them, FSG the singletons
+    of ``held``; ``check`` comes before every 256th submask from the
+    first."""
+    if mode is Mode.FSG:
+        pool = [1 << b for b in range(held.bit_length()) if (held >> b) & 1]
+    else:
+        pool = []
+        sub = held
+        while sub:
+            if check is not None and len(pool) % 256 == 0:
+                check()
+            pool.append(sub)
+            sub = (sub - 1) & held
+        pool += [b for b in arrived if b & ~held]
+    pool.sort(key=_sort_key)
+    return pool
+
+
+def _grant_mask(held: int, policy: Policy, cost: int, count: int) -> int:
+    if count == 0:
+        return 0
+    if policy is Policy.FRESH:
+        # every index up to the cost is issued
+        return ((1 << count) - 1) << cost
+    granted = 0
+    got = 0
+    b = 0
+    while got < count:
+        if not (held >> b) & 1:
+            granted |= 1 << b
+            got += 1
+        b += 1
+    return granted
+
+
+def _check_vertex(state: ProcessState, vertex: int) -> None:
+    if vertex < 0 or vertex >= state.digraph.graph.n:
+        raise ValueError(f"no vertex {vertex}")
+
+
 def mutate_pool(
     state: ProcessState,
     vertex: int,
@@ -310,35 +367,16 @@ def mutate_pool(
     called at the first subset built and every 256th after it, and may
     raise to abandon the pool, as a search's deadline does.
     """
+    _check_vertex(state, vertex)
     if state.mode is Mode.BRUSH:
         raise ValueError("anonymous brush tokens form no colour pool")
-    present = state.primaries_present[vertex]
-    pool: set[ColourSet] = set()
-    if state.mode is Mode.FSG:
-        pool = {ColourSet.single(p) for p in present}
-    else:
-        built = 0
-        for r in range(1, len(present) + 1):
-            for combo in combinations(present, r):
-                built += 1
-                if check is not None and built % 256 == 1:
-                    check()
-                pool.add(ColourSet(combo))
-        pool.update(state.arrived_blends[vertex])
-    return tuple(sorted(pool, key=ColourSet.sort_key))
-
-
-def _policy_indices(state: ProcessState, vertex: int, count: int) -> tuple[int, ...]:
-    if state.policy is Policy.FRESH:
-        return tuple(range(state.cost + 1, state.cost + count + 1))
-    present = set(state.primaries_present[vertex])
-    out: list[int] = []
-    candidate = 1
-    while len(out) < count:
-        if candidate not in present:
-            out.append(candidate)
-        candidate += 1
-    return tuple(out)
+    held = sum(1 << (p - 1) for p in state.primaries_present[vertex])
+    arrived = {c.mask(): c for c in state.arrived_blends[vertex]}
+    # an arrived blend is passed on as it came; a key ends in its members
+    return tuple([
+        arrived.get(mask) or ColourSet(_sort_key(mask)[2])
+        for mask in _pool_masks(held, arrived, state.mode, check)
+    ])
 
 
 def _normalise_assignment(
@@ -370,8 +408,7 @@ def fire(
     token, and missing tokens are augmented automatically.
     """
     d = state.digraph
-    if vertex < 0 or vertex >= d.graph.n:
-        raise ValueError(f"no vertex {vertex}")
+    _check_vertex(state, vertex)
     for i in d.in_arcs(vertex):
         if state.arc_status[i] is None:
             raise NotReadyError(f"vertex {vertex} still has untattooed in-arc {i}")
@@ -407,11 +444,12 @@ def fire(
         new_needed.update(set(c.members) - present)
     if new_needed:
         # every non-arrived set becomes formable once these are granted
-        expected = _policy_indices(state, vertex, len(new_needed))
-        if new_needed != set(expected):
+        held = sum(1 << (p - 1) for p in present)
+        grant = _grant_mask(held, state.policy, state.cost, len(new_needed))
+        if sum(1 << (p - 1) for p in new_needed) != grant:
             raise UnavailableColourSetError(
                 f"vertex {vertex} names new primaries {sorted(new_needed)}; "
-                f"{state.policy.value} policy grants {list(expected)}"
+                f"{state.policy.value} policy grants {list(_sort_key(grant)[2])}"
             )
 
     status = list(state.arc_status)

@@ -450,6 +450,7 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         k = self.kind
+        _ints("family parameters", self.params)
         minima = _MINIMA[k]
         if len(self.params) != len(minima):
             raise ValueError(
@@ -459,6 +460,7 @@ class FamilySpec:
             if not self.blocks:
                 raise ValueError("genfriendship needs at least one cycle block")
             for length, copies in self.blocks:
+                _ints("cycle lengths and copy counts", (length, copies))
                 if length < 3:
                     raise ValueError(f"cycle length must be at least 3, got {length}")
                 if copies < 1:

@@ -77,8 +77,8 @@ search small:
   label sum.  Assignments within such a group are forced ascending.
 
 Determinism: orientations are always enumerated in ascending code
-order, pool sets are ordered by (weight, cardinality, members), and the
-incumbent is replaced only on strict improvement, so the reported
+order, the engine's pool order is (weight, cardinality, members), and
+the incumbent is replaced only on strict improvement, so the reported
 witness is a pure function of the input.  Every result is replayed
 through the process engine before being returned.
 """
@@ -109,7 +109,10 @@ from tattooing.engine import (
     Policy,
     ReplayError,
     Witness,
+    _grant_mask,
     _member,
+    _pool_masks,
+    _sort_key,
     fire,
     initial_state,
     mutate_pool,
@@ -121,6 +124,7 @@ from tattooing.graphs import (
     Digraph,
     FamilySpec,
     Graph,
+    _ints,
     collect_acyclic_orientation_bits,
     count_acyclic_orientations,
     orient,
@@ -190,20 +194,22 @@ def quantity_mode(
     A cost quantity implies its mode, and ``mode`` may only repeat it.
     Any other quantity, or none, takes ``mode`` and defaults to BLEND.
     """
-    implied = COST_MODES.get(quantity)
-    if implied is None:
-        return Mode.BLEND if mode is None else mode
-    if mode is not None and mode is not implied:
-        raise ValueError(
-            f"{quantity.value} is defined in {implied.value} mode"
-        )
-    return implied
+    if quantity is not None:
+        _member("quantity", quantity, Quantity)
+    if mode is None:
+        return COST_MODES.get(quantity, Mode.BLEND)
+    _member("mode", mode, Mode)
+    implied = COST_MODES.get(quantity, mode)
+    if mode is not implied:
+        raise ValueError(f"{quantity.value} is defined in {implied.value} mode")
+    return mode
 
 
 def quantity_value(quantity: Quantity, result) -> int | Fraction:
     """The value of ``quantity`` in a result with ``cost``, ``label_sum``,
     ``raw_ratio`` and ``index``: an outcome (a search report is one) or
     an oracle result."""
+    _member("quantity", quantity, Quantity)
     if quantity in COST_MODES:
         return result.cost
     if quantity is Quantity.MIN_LABEL_SUM:
@@ -255,6 +261,7 @@ class SearchLimits:
     time_budget: float | None = field(default_factory=_env_time_budget)
 
     def __post_init__(self) -> None:
+        _ints("edge limits", (self.max_edges,))
         if self.max_edges < 1:
             raise ValueError(
                 f"edge limit must be a positive integer, got {self.max_edges!r}"
@@ -304,14 +311,6 @@ class IndexReport(Outcome):
     orientations_searched: int
 
 
-@functools.cache
-def _sort_key(mask: int) -> tuple[int, int, tuple[int, ...]]:
-    members = tuple(
-        i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1
-    )
-    return (sum(members), len(members), members)
-
-
 def _distinct_partitions(total: int) -> int:
     """Number of sets of positive integers that sum to ``total``."""
     ways = [1] + [0] * total
@@ -351,32 +350,6 @@ def _act(code: int, action: tuple[tuple[tuple[int, ...], ...], int]) -> int:
         image ^= table[code & 255]
         code >>= 8
     return image
-
-
-def _submasks(mask: int) -> list[int]:
-    out = []
-    sub = mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    return out
-
-
-def _grant_mask(held: int, policy: Policy, cost: int, count: int) -> int:
-    if count == 0:
-        return 0
-    if policy is Policy.FRESH:
-        # every index up to the cost is issued
-        return ((1 << count) - 1) << cost
-    granted = 0
-    got = 0
-    b = 0
-    while got < count:
-        if not (held >> b) & 1:
-            granted |= 1 << b
-            got += 1
-        b += 1
-    return granted
 
 
 class _Orientation:
@@ -955,23 +928,9 @@ class _Searcher:
         key = (held, arrived)
         got = self._pools.get(key)
         if got is None:
-            if self.mode is Mode.FSG:
-                pool = [
-                    1 << b
-                    for b in range(held.bit_length())
-                    if (held >> b) & 1
-                ]
-            else:
-                pool = _submasks(held)
-                for b in arrived:
-                    if b & ~held:
-                        pool.append(b)
-            pool.sort(key=_sort_key)
+            pool = _pool_masks(held, arrived, self.mode)
             weights = [_sort_key(c)[0] for c in pool]
-            cheapest = [0]
-            for w in weights:
-                cheapest.append(cheapest[-1] + w)
-            got = (pool, weights, cheapest)
+            got = (pool, weights, list(accumulate(weights, initial=0)))
             self._pools[key] = got
         return got
 

@@ -222,14 +222,20 @@ class TestFireValidation:
 
     def test_smallest_policy_pins_new_indices(self):
         st = fire(self.st, 0, ((0, cs(1)), (1, cs(2))))
-        with pytest.raises(UnavailableColourSetError):
+        with pytest.raises(
+            UnavailableColourSetError,
+            match=r"names new primaries \[3\]; smallest policy grants \[2\]$",
+        ):
             fire(st, 1, ((2, cs(3)),))  # smallest absent index is 2, not 3
 
     def test_fresh_policy_pins_new_indices(self):
         plan = AllocationPlan.from_counts({0: 2}, Policy.FRESH)
         st = initial_state(self.d, Mode.BLEND, plan)
         st = fire(st, 0, ((0, cs(1)), (1, cs(2))))
-        with pytest.raises(UnavailableColourSetError):
+        with pytest.raises(
+            UnavailableColourSetError,
+            match=r"names new primaries \[2\]; fresh policy grants \[3\]$",
+        ):
             fire(st, 1, ((2, cs(2)),))  # fresh grants 3, not a reused 2
         out = fire(st, 1, ((2, cs(3)),))
         assert out.cost == 3
@@ -418,3 +424,11 @@ class TestMutatePool:
         st = initial_state(d, Mode.BRUSH, smallest_plan(v0=2))
         with pytest.raises(ValueError):
             mutate_pool(st, 0)
+
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_vertex_out_of_range_refused(self, vertex):
+        # -1 used to give the pool of vertex 2, ({1},), and 3 an IndexError
+        d = orient(family("path:3"), 0)
+        st = initial_state(d, Mode.BLEND, smallest_plan(v0=2, v2=1))
+        with pytest.raises(ValueError, match=f"^no vertex {vertex}$"):
+            mutate_pool(st, vertex)

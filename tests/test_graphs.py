@@ -213,6 +213,22 @@ class TestFamilies:
         with pytest.raises(ValueError):
             FamilySpec(FamilyKind.CYCLE, (3, 4))
 
+    @pytest.mark.parametrize(
+        "kind,params,blocks",
+        [
+            # cycle:3.0 used to print, then fail to build with a TypeError
+            (FamilyKind.CYCLE, (3.0,), ()),
+            # star:True used to build star:1 and print star:True
+            (FamilyKind.STAR, (True,), ()),
+            (FamilyKind.FRIENDSHIP, (3, "2"), ()),
+            (FamilyKind.GENERAL_FRIENDSHIP, (), ((3, 2.0),)),
+            (FamilyKind.GENERAL_FRIENDSHIP, (), ((3, 1), (False, 2))),
+        ],
+    )
+    def test_non_integer_parameters_refused(self, kind, params, blocks):
+        with pytest.raises(ValueError, match="are integers"):
+            FamilySpec(kind, params, blocks)
+
 
 class TestDigraph:
     def test_arc_must_orient_its_edge(self):

@@ -163,7 +163,12 @@ class TestPoolContract:
                     for c in combinations(sorted(present), size)
                 }
                 expected.update(state.arrived_blends[vertex])
-            assert set(mutate_pool(state, vertex)) == expected
+            pool = list(mutate_pool(state, vertex))
+            assert set(pool) == expected
+            # by weight, then cardinality, then members
+            assert pool == sorted(
+                pool, key=lambda c: (sum(c.members), len(c.members), c.members)
+            )
             state = fire(state, vertex, dict(assignments[vertex]))
 
 

@@ -730,11 +730,46 @@ class TestEnumArguments:
                 lambda: oracle_invariants(family("star:4"), Mode.FSG, "fresh"),
                 id="oracle_invariants-policy",
             ),
+            # btau is defined in FSG, not in the default BLEND
+            pytest.param(
+                "quantity",
+                lambda: quantity_mode("btau"),
+                id="quantity_mode-quantity",
+            ),
+            # a string read as a ratio quantity gives 5/6, not the cost 2
+            pytest.param(
+                "quantity",
+                lambda: quantity_value(
+                    "tau", best_index(family("cycle:5"), Mode.BLEND)
+                ),
+                id="quantity_value",
+            ),
+            # not a contradiction: the string is not Mode.BLEND
+            pytest.param(
+                "mode",
+                lambda: quantity_mode(Quantity.TAU, "blend"),
+                id="quantity_mode-implied-mode",
+            ),
+            # not passed on to the search as it is
+            pytest.param(
+                "mode",
+                lambda: quantity_mode(Quantity.INDEX, "fsg"),
+                id="quantity_mode-mode",
+            ),
         ],
     )
     def test_string_value_is_refused(self, name, call):
         with pytest.raises(TypeError, match=f"^{name} must be a "):
             call()
+
+
+class TestColourRulesFromTheEngine:
+    def test_search_takes_the_pool_order_and_grant_from_the_engine(self):
+        """The pool, its order and the grant are stated once, in the
+        engine; only the oracle keeps copies of its own."""
+        for name in ("_sort_key", "_grant_mask", "_pool_masks"):
+            assert getattr(search, name) is getattr(engine, name), name
+        assert not hasattr(search, "_submasks")
 
 
 class TestFreshPolicy:
@@ -1210,6 +1245,13 @@ class TestLimits:
     @pytest.mark.parametrize("limit", [0, -1])
     def test_edge_limit_must_be_positive(self, limit):
         with pytest.raises(ValueError, match="positive integer"):
+            SearchLimits(max_edges=limit, time_budget=None)
+
+    @pytest.mark.parametrize("limit", [True, 8.0, "8"])
+    def test_edge_limit_must_be_an_int(self, limit):
+        # a bool is no count: True used to pass and refuse a path:3
+        # later with "limit is True"
+        with pytest.raises(ValueError, match="edge limits are integers"):
             SearchLimits(max_edges=limit, time_budget=None)
 
     @pytest.mark.parametrize("raw", ["0", "-5"])
