@@ -446,10 +446,12 @@ def fire(
         # every non-arrived set becomes formable once these are granted
         held = sum(1 << (p - 1) for p in present)
         grant = _grant_mask(held, state.policy, state.cost, len(new_needed))
-        if sum(1 << (p - 1) for p in new_needed) != grant:
+        # compared as members: a mask is as wide as the largest primary
+        granted = _sort_key(grant)[2]
+        if tuple(sorted(new_needed)) != granted:
             raise UnavailableColourSetError(
                 f"vertex {vertex} names new primaries {sorted(new_needed)}; "
-                f"{state.policy.value} policy grants {list(_sort_key(grant)[2])}"
+                f"{state.policy.value} policy grants {list(granted)}"
             )
 
     status = list(state.arc_status)

@@ -39,8 +39,9 @@ depends only on its arrivals, not on when unrelated vertices fired.
 The depth-first search cuts a branch on two admissible bounds:
 
 * Cost: the cost so far plus, for each vertex still to fire, the
-  primaries its out-degree needs beyond the colours that can still
-  reach it, against the target ``c``.
+  primaries its out-degree needs beyond its own primaries and one
+  colour per in-arc, against the target ``c``.  The table of these
+  needs is fixed per start: arrivals are not tracked.
 * Label sum: the label sum so far plus a floor of the least weight of
   out-degree distinct sets for each vertex still to fire, against the
   best sum found.  Until a vertex's last in-arc is tattooed, its share
@@ -254,7 +255,7 @@ class SearchLimits:
     """Hard limits; exceeding them refuses the computation outright.
 
     ``max_edges`` is a positive integer.  ``time_budget`` is a positive
-    number of seconds (``inf`` allowed), or None for no deadline.
+    ``int`` or ``float`` (seconds, ``inf`` allowed), or None: no deadline.
     """
 
     max_edges: int = field(default_factory=_env_max_edges)
@@ -266,10 +267,11 @@ class SearchLimits:
             raise ValueError(
                 f"edge limit must be a positive integer, got {self.max_edges!r}"
             )
-        if self.time_budget is not None and not self.time_budget > 0:
+        budget = self.time_budget
+        if not (budget is None or type(budget) in (int, float) and budget > 0):
             raise ValueError(
                 f"time budget must be a positive number of seconds, "
-                f"got {self.time_budget!r}"
+                f"got {budget!r}"
             )
 
     def check(self, graph: Graph | FamilySpec) -> None:
@@ -722,11 +724,22 @@ class _Searcher:
         (``place``, ascending within an exchange class), gives the arcs
         into sinks the cheapest sets left, and recurses on the colour
         state that leaves.  Every child and every start passes ``admit``,
-        which cuts on two admissible bounds: ``cost + lb_rem`` against
-        the budget, and the label sum so far plus the floor against the
-        incumbent (``inf`` at first); ``place`` also cuts on the cheapest
-        sets still to place.  The firings above the current depth are one
-        ``path`` of references, turned into events when ``best`` improves.
+        which ticks and cuts on two admissible bounds: ``cost + lack[k]``
+        against the budget, and the label sum so far plus the floor
+        against the incumbent (``inf`` at first); ``place`` also cuts on
+        the cheapest sets still to place.  The firings above the current
+        depth are one ``path`` of references, turned into events when
+        ``best`` improves.
+
+        ``lack[k]``, built once per start, counts the primaries the
+        vertices firing from depth ``k`` on need beyond their own held
+        primaries and one colour per in-arc.  An in-arc brings at most
+        one primary or blend, and a pool of ``p`` primaries and ``b``
+        blends has a distinct set per out-arc only if ``p + b >=
+        need_out``, so a smaller grant leaves the pool too small: the
+        bound is admissible, and ``cost + lack[k]`` never falls along a
+        branch.  The ``extra`` range keeps every child within the
+        budget, so ``admit``'s cost cut fires only at a start.
 
         The floor charges a vertex still to fire ``prefix[out-degree]``,
         the cheapest distinct sets any pool could offer, until the vertex
@@ -736,11 +749,11 @@ class _Searcher:
         can still reach: ``held | grant`` with the largest grant the
         budget allows, ``min(need_out, budget - cost)``, plus its arrived
         blends.  The share less ``prefix[out-degree]`` is its ``rise``,
-        written at its closing depth and read only below it; ``lift``,
-        the rises of the closed vertices still to fire, is carried down
-        as ``lb_rem`` is.  A closed vertex whose best pool has too few
-        sets has no completion, so its branch is cut at once; no rise
-        is ever infinite.
+        written at its closing depth and read only below it.  ``lift``
+        sums the rises of the closed vertices still to fire: a firing
+        drops its own vertex's rise and adds those ``admit`` returns.  A
+        closed vertex whose best pool has too few sets has no
+        completion, so its branch is cut at once; no rise is infinite.
 
         The share is admissible under both policies.  Costs only rise,
         so the grant at the vertex's firing has at most the count used
@@ -759,14 +772,15 @@ class _Searcher:
         need_out, floor, steps = o.need_out, o.floor, o.steps
         arcs, closing, prefix = o.digraph.arcs, o.closing, self.prefix
         tick, policy, pool_for = self.clock.tick, self.policy, self._pool_for
+        in_degree = o.digraph.in_degree
         rise = [0] * self.graph.n
 
-        def admit(k, present, blends, lb, cost, base):
+        def admit(k, present, blends, cost, base):
             """One tick, then the rises of the vertices in ``closing[k]``,
-            or None to cut: on ``cost + lb``, on a pool too small, or on
-            ``base`` plus the rises reaching the incumbent."""
+            or None to cut: on ``cost + lack[k]``, on a pool too small, or
+            on ``base`` plus the rises reaching the incumbent."""
             tick()
-            if cost + lb > budget:
+            if cost + lack[k] > budget:
                 return None
             room = best["S"] - base
             total = 0
@@ -784,7 +798,7 @@ class _Searcher:
                 total += rise[w]
             return None if total >= room else total
 
-        def dfs(k, present, blends, avail, lb_rem, lift, cost, ssum):
+        def dfs(k, present, blends, lift, cost, ssum):
             if k == len(steps):
                 # every arc is tattooed, so the floor is 0 and the cut
                 # before this call has made this a strict improvement
@@ -797,7 +811,6 @@ class _Searcher:
             v, live, sinks, follows = steps[k]
             out = live + sinks
             old, arrived = present[v], blends[v]
-            lb_others = lb_rem - max(0, need_out[v] - avail[v])
             todo = len(out)
             # v's own share is charged in place, by the sets it takes
             lift_others = lift - rise[v]
@@ -830,28 +843,15 @@ class _Searcher:
                 if refs != granted:
                     return
                 new_present, new_blends = list(present), list(blends)
-                new_avail, new_lb = list(avail), lb_others
                 # colours are read only at heads that fire later
                 for i, pi in zip(live, picks):
                     c, h = pool[pi], arcs[i][1]
                     if c & (c - 1) == 0:
-                        merged = bool(new_present[h] & c)
                         new_present[h] |= c
                     else:
-                        merged = c in new_blends[h]
                         new_blends[h] = new_blends[h] | {c}
-                    if merged:
-                        # a merged arrival shrinks the head's future pool,
-                        # which raises its share of the bound if positive
-                        new_lb += need_out[h] >= new_avail[h]
-                        new_avail[h] -= 1
                 raised = admit(
-                    k + 1,
-                    new_present,
-                    new_blends,
-                    new_lb,
-                    cost + extra,
-                    bound_base + add,
+                    k + 1, new_present, new_blends, cost + extra, bound_base + add
                 )
                 if raised is None:
                     return
@@ -860,43 +860,42 @@ class _Searcher:
                     k + 1,
                     new_present,
                     new_blends,
-                    new_avail,
-                    new_lb,
                     lift_others + raised,
                     cost + extra,
                     ssum + add,
                 )
                 path.pop()
 
-            for extra in range(need_out[v] + 1):
-                if cost + extra + lb_others > budget:
-                    break
+            for extra in range(min(need_out[v], budget - cost - lack[k + 1]) + 1):
                 granted = _grant_mask(old, policy, cost, extra)
                 pool, weights, cheapest = pool_for(old | granted, arrived)
                 if len(pool) >= todo:
                     used = [False] * len(pool)
                     place(0, 0)
+            del place  # it calls itself: unbound, it is freed now, not by gc
 
-        n = self.graph.n
-        if policy is Policy.SMALLEST:
-            starts = [((), [0] * n, 0)]
-        else:
-            starts = self._fresh_starts(o, budget)
-        blends0 = [frozenset()] * n
+        # SMALLEST starts from the empty plan alone
+        starts = self._starts(o, budget if policy is Policy.FRESH else 0)
+        blends0 = [frozenset()] * self.graph.n
         path = []  # per firing: vertex, arcs, their pool positions, pool
         for plan, present0, cost0 in starts:
-            avail = [
-                bin(p).count("1") + o.digraph.in_degree(v)
-                for v, p in enumerate(present0)
-            ]
-            lb_rem = sum(max(0, need - a) for need, a in zip(need_out, avail))
-            lift = admit(0, present0, blends0, lb_rem, cost0, floor[0])
+            # lack[k]: the primaries the firings from depth k on need
+            # beyond their own and one colour per in-arc
+            short = (
+                need_out[v] - bin(present0[v]).count("1") - in_degree(v)
+                for v, *_ in reversed(steps)
+            )
+            lack = list(accumulate((max(0, s) for s in short), initial=0))[::-1]
+            lift = admit(0, present0, blends0, cost0, floor[0])
             if lift is not None:
-                dfs(0, present0, blends0, avail, lb_rem, lift, cost0, 0)
+                dfs(0, present0, blends0, lift, cost0, 0)
+        del dfs  # it calls itself, and holds self through pool_for
 
-    def _fresh_starts(self, o: _Orientation, budget: int):
-        """The FRESH policy's initial allocations, as ``(plan, held
-        masks, cost)``, cheapest first."""
+    def _starts(self, o: _Orientation, budget: int):
+        """The initial allocations of at most ``budget`` primaries that
+        give no vertex more than its out-degree needs, as ``(plan, held
+        masks, cost)``, cheapest first.  FRESH numbers the blocks in
+        plan order; with a budget of 0 the one start is the empty plan."""
         n = self.graph.n
         caps = o.need_out
         spots = [v for v in range(n) if caps[v] > 0]
@@ -913,13 +912,10 @@ class _Searcher:
                 return
             v = spots[idx]
             for k in range(0, min(caps[v], budget - used) + 1):
-                if k:
-                    acc.append((v, k))
-                rec(idx + 1, acc, used + k)
-                if k:
-                    acc.pop()
+                rec(idx + 1, acc + [(v, k)] if k else acc, used + k)
 
         rec(0, [], 0)
+        del rec  # it calls itself, as dfs and place do
         out.sort(key=lambda s: (s[2], s[0]))
         return out
 
@@ -1123,6 +1119,7 @@ def ratio_set(
         return memo[key]
 
     sums = explore(initial_state(digraph, mode, plan))
+    del explore  # it calls itself, and holds the memo
     if not sums:
         raise ValueError("no schedule completes from this allocation")
     return frozenset(Fraction(m, plan.total * s) for s in sums)

@@ -12,6 +12,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from tattooing import cli, search
 from tattooing.cli import main
+from tattooing.graphs import DisconnectedGraphError
 from test_search_golden import GOLDEN as GOLDEN_REPORTS
 from test_search_golden import _cases as golden_cases
 
@@ -136,6 +138,24 @@ class TestCompute:
     def test_missing_graph_exits_2(self, capsys):
         code, _, _ = run(capsys, "compute", "--quantity", "tau")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ("--family", "cycle:3", "--input", "F", "--quantity", "tau"),
+                "give either --family or --input, not both",
+            ),
+            (
+                ("--family", "cycle:3"),
+                "--quantity is required (unless --replay is given)",
+            ),
+        ],
+        ids=["family-and-input", "no-quantity"],
+    )
+    def test_graph_and_quantity_checked(self, capsys, argv, message):
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "quantity",
@@ -518,6 +538,7 @@ class TestReplay:
             (lambda doc: doc["witness"].update(initial=[]), 2),
             (lambda doc: doc.update(mode="blend", quantity="btau"), 2),
             (lambda doc: doc["witness"].update(orientation=1 << 5), 2),
+            (lambda doc: doc.pop("value"), 2),
         ],
         ids=[
             "events-out-of-order",
@@ -526,6 +547,7 @@ class TestReplay:
             "no-allocation",
             "mode-contradicts-quantity",
             "orientation-out-of-range",
+            "no-value",
         ],
     )
     def test_tampered_witness_exit_code(
@@ -636,8 +658,15 @@ class TestReplay:
                 "error: malformed document: primary indices are integers, "
                 "got [True]",
             ),
+            (
+                # refused as a member, not built as a 2^40-bit mask
+                [[0, [1]], [1, [2**40]]],
+                4,
+                "inconsistent result: vertex 0 names new primaries "
+                "[1099511627776]; smallest policy grants [3]",
+            ),
         ],
-        ids=["repeated-arc", "float-primary", "bool-primary"],
+        ids=["repeated-arc", "float-primary", "bool-primary", "far-primary"],
     )
     def test_bad_assignment_exit_code(
         self, capsys, tmp_path, assignment, expect, message
@@ -1068,6 +1097,53 @@ class TestSweep:
             r["status"].startswith("refused") for r in rows_of(out)
         )
 
+    @pytest.mark.parametrize(
+        "span,refused,code", [("2..4", ["2"], 0), ("1..2", ["1", "2"], 1)]
+    )
+    def test_parameter_below_minimum_is_a_refused_row(
+        self, capsys, span, refused, code
+    ):
+        got, out, _ = run(
+            capsys, "sweep", "--family", "cycle", "--n", span, "--no-timing"
+        )
+        assert got == code
+        rows = out.splitlines()[1:]
+        assert rows[: len(refused)] == [
+            f"cycle,{n},,,,,,,,refused: cycle parameter {n} below minimum 3"
+            for n in refused
+        ]
+        assert all(r.endswith(",ok") for r in rows[len(refused) :])
+
+    def test_random_sweep_redraws_disconnected_samples(
+        self, capsys, monkeypatch
+    ):
+        code, out, _ = run(
+            capsys, "sweep", "--family", "random", "--vertices", "6",
+            "--edges", "5", "--count", "3", "--no-timing",
+        )
+        assert code == 0
+        assert [r["status"] for r in rows_of(out)] == ["ok"] * 3
+        # 5 edges on 6 vertices must form a tree; seed 0 draws one
+        # sample that is not connected among its first four
+        drawn = []
+        real = cli.Graph
+
+        def counted(n, edges):
+            try:
+                graph = real(n, edges)
+            except DisconnectedGraphError:
+                drawn.append(False)
+                raise
+            drawn.append(True)
+            return graph
+
+        monkeypatch.setattr(cli, "Graph", counted)
+        args = SimpleNamespace(vertices=6, edges=5, count=3, seed=None)
+        assert [p for p, _, _ in cli._random_instances(args)] == [
+            "6,5#0", "6,5#1", "6,5#2",
+        ]
+        assert sorted(drawn) == [False, True, True, True]
+
     def test_random_ensemble_deterministic(self, capsys):
         argv = (
             "sweep", "--family", "random", "--vertices", "5", "--edges", "6",
@@ -1111,9 +1187,13 @@ class TestSweep:
                 "genfriendship sweeps need --blocks SPEC",
             ),
             (("moebius",), "unknown sweep family 'moebius'"),
+            (
+                ("random", "--edges", "3"),
+                "random sweeps need --vertices N and --edges M",
+            ),
         ],
         ids=["friendship-n", "joost-n", "joost-k", "genfriendship",
-             "genfriendship-empty", "unknown"],
+             "genfriendship-empty", "unknown", "random"],
     )
     def test_missing_flag_is_named_before_any_range_is_read(
         self, capsys, argv, lacking

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,10 @@ class TestAllocationPlan:
         with pytest.raises(ValueError):
             AllocationPlan(((0, 1), (0, 2)), Policy.SMALLEST)
 
+    def test_negative_vertex_rejected(self):
+        with pytest.raises(ValueError, match="bad vertex -1"):
+            AllocationPlan(((-1, 1),), Policy.SMALLEST)
+
     @pytest.mark.parametrize("pair", [(False, 2), (0, True), (0, 2.0)])
     def test_non_integer_rejected(self, pair):
         # a bool is an int to Python, not a vertex or a count
@@ -194,6 +199,14 @@ class TestFireValidation:
         with pytest.raises(IncompleteAssignmentError):
             fire(self.st, 0, ((0, cs(1)),))
 
+    @pytest.mark.parametrize("mode", [Mode.FSG, Mode.BLEND])
+    def test_no_assignment(self, mode):
+        st = initial_state(self.d, mode, smallest_plan(v0=2))
+        with pytest.raises(
+            IncompleteAssignmentError, match=r"assignment covers \[\]$"
+        ):
+            fire(st, 0)
+
     def test_foreign_arc(self):
         with pytest.raises(IncompleteAssignmentError):
             fire(self.st, 0, ((0, cs(1)), (2, cs(2))))
@@ -239,6 +252,24 @@ class TestFireValidation:
             fire(st, 1, ((2, cs(2)),))  # fresh grants 3, not a reused 2
         out = fire(st, 1, ((2, cs(3)),))
         assert out.cost == 3
+
+    def test_far_primary_is_refused_in_little_memory(self):
+        # the named primary is compared as a member, not as a mask as
+        # wide as its index
+        d = orient(family("cycle:5"), 0)
+        st = initial_state(d, Mode.BLEND, smallest_plan(v0=1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                UnavailableColourSetError,
+                match=r"names new primaries \[67108864\]; smallest policy "
+                r"grants \[2\]$",
+            ):
+                fire(st, 0, ((0, cs(1)), (1, cs(2**26))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_fsg_rejects_blends(self):
         st = initial_state(self.d, Mode.FSG, smallest_plan(v0=2))

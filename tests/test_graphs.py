@@ -72,6 +72,10 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, ((0, 2),))
 
+    def test_no_vertex_rejected(self):
+        with pytest.raises(ValueError, match="vertex count must be positive"):
+            Graph(0, ())
+
     def test_single_vertex_allowed(self):
         assert Graph(1, ()).m == 0
 
@@ -214,6 +218,17 @@ class TestFamilies:
             FamilySpec(FamilyKind.CYCLE, (3, 4))
 
     @pytest.mark.parametrize(
+        "kind,params,blocks,message",
+        [
+            (FamilyKind.GENERAL_FRIENDSHIP, (), (), "at least one cycle block"),
+            (FamilyKind.CYCLE, (3,), ((3, 1),), "does not take cycle blocks"),
+        ],
+    )
+    def test_blocks_checked(self, kind, params, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            FamilySpec(kind, params, blocks)
+
+    @pytest.mark.parametrize(
         "kind,params,blocks",
         [
             # cycle:3.0 used to print, then fail to build with a TypeError
@@ -235,6 +250,11 @@ class TestDigraph:
         g = family("cycle:3")
         with pytest.raises(ValueError):
             Digraph(g, ((0, 1), (0, 2), (0, 2)))
+
+    def test_arc_count_must_match_edge_count(self):
+        g = family("cycle:3")
+        with pytest.raises(ValueError, match="arc count does not match"):
+            Digraph(g, ((0, 1), (0, 2)))
 
     def test_orient_roundtrip(self):
         g = family("cycle:4")

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import multiprocessing.pool
 import time
+import weakref
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -659,6 +661,67 @@ class TestSeededIncumbent:
             assert at_ticks <= above_ticks <= free_ticks, g
 
 
+class TestNoClosureOutlivesItsCall:
+    """The search's closures that call themselves unbind themselves as
+    their call ends, so a search frees its searcher, and each firing its
+    colour state, without waiting for the cyclic collector."""
+
+    @pytest.mark.parametrize(
+        "spec,mode,policy",
+        [
+            ("cycle:5", Mode.BLEND, Policy.SMALLEST),
+            ("joost:4,4", Mode.BLEND, Policy.FRESH),
+            ("friendship:3,3", Mode.FSG, Policy.SMALLEST),
+        ],
+    )
+    def test_searcher_is_freed_after_its_run(self, spec, mode, policy):
+        searcher = search._Searcher(family(spec), mode, policy, NO_CAP)
+        gc.collect()
+        gc.disable()
+        try:
+            searcher.run()
+            ref = weakref.ref(searcher)
+            del searcher
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def closures_left(call) -> list[str]:
+        """The search module's closures still alive after ``call``, with
+        the cyclic collector off."""
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            return [
+                f.__qualname__
+                for f in gc.get_objects()
+                if isinstance(f, FunctionType)
+                and f.__code__.co_filename == search.__file__
+                and "<locals>" in f.__qualname__
+            ]
+        finally:
+            gc.enable()
+
+    def test_no_closure_is_left_after_a_probe(self):
+        searcher = search._Searcher(
+            family("joost:4,6"), Mode.BLEND, Policy.SMALLEST, NO_CAP
+        )
+        best = {"S": math.inf, "code": None, "events": None, "plan": None}
+        assert self.closures_left(lambda: searcher._probe(14080, 3, best)) == []
+        assert best["S"] == 42
+
+    def test_no_closure_is_left_after_a_ratio_set(self):
+        d = orient(family("cycle:4"), 0)
+        got = []
+        left = self.closures_left(
+            lambda: got.append(ratio_set(d, Mode.BLEND, source_plan(3)))
+        )
+        assert left == []
+        assert got[0]
+
+
 class TestEnumArguments:
     """A mode or policy given as its string value is refused: the search,
     the engine and the oracle branch on ``is``, so a string would mix
@@ -855,6 +918,11 @@ class TestInvariantDispatch:
         r = best_index(g, Mode.FSG)
         assert quantity(g, Quantity.BTAU) == r.cost
         assert quantity(g, Quantity.MIN_LABEL_SUM, Mode.FSG) == r.label_sum
+
+    @pytest.mark.parametrize("solve", [best_index, oracle_invariants])
+    def test_edgeless_graph_refused(self, solve):
+        with pytest.raises(ValueError, match="needs at least one edge"):
+            solve(Graph(1, ()), Mode.BLEND)
 
 
 class TestReportIsReplayedOutcome:
@@ -1260,7 +1328,9 @@ class TestLimits:
         with pytest.raises(ValueError, match=f"TATTOO_MAX_EDGES={raw!r}"):
             SearchLimits()
 
-    @pytest.mark.parametrize("budget", [0, -1, float("nan")])
+    @pytest.mark.parametrize(
+        "budget", [0, -1, float("nan"), "5", "abc", True]
+    )
     def test_budget_must_be_positive(self, budget):
         with pytest.raises(ValueError, match="positive number of seconds"):
             SearchLimits(max_edges=30, time_budget=budget)
