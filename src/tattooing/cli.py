@@ -390,15 +390,17 @@ def _family(text: str) -> Graph:
 
 def _searches(limits: SearchLimits):
     """``best(spec, mode)`` over all orientations and ``fixed(spec, mode,
-    code)`` on one, each searching a distinct argument list once."""
+    code)`` on one, each searching a distinct argument list once.  Each
+    family is built once, so its searches share its orientation space."""
+    family = functools.cache(_family)
 
     @functools.cache
     def best(spec: str, mode: Mode) -> IndexReport:
-        return best_index(_family(spec), mode, limits=limits)
+        return best_index(family(spec), mode, limits=limits)
 
     @functools.cache
     def fixed(spec: str, mode: Mode, code: int) -> IndexReport:
-        digraph = orient(_family(spec), code)
+        digraph = orient(family(spec), code)
         return best_index_for_orientation(digraph, mode, limits=limits)
 
     return best, fixed

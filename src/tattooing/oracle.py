@@ -56,15 +56,24 @@ MAX_ORACLE_EDGES = 7
 # colour sets are bitmasks here: bit i stands for primary i + 1
 
 
-def _mask_weight(mask: int) -> int:
-    total = 0
-    i = 1
-    while mask:
-        if mask & 1:
-            total += i
-        mask >>= 1
-        i += 1
-    return total
+class _Weights(dict):
+    """The weight of each colour mask, worked out on its first lookup."""
+
+    def __missing__(self, mask: int) -> int:
+        total = 0
+        i = 1
+        rest = mask
+        while rest:
+            if rest & 1:
+                total += i
+            rest >>= 1
+            i += 1
+        self[mask] = total
+        return total
+
+
+_WEIGHT = _Weights()
+_mask_weight = _WEIGHT.__getitem__
 
 
 @lru_cache(maxsize=None)
@@ -228,28 +237,37 @@ def _brush_cost(
 
 
 def _capped_counts(caps: list[int], total: int):
-    """All ways to hand out ``total`` primaries within per-vertex caps."""
+    """All ways to hand out ``total`` primaries within per-vertex caps,
+    as ``((v, k), ...)`` over the vertices given ``k > 0``, in ascending
+    lexicographic order of the counts of the vertices with a cap.
+
+    One odometer: the first plan puts as much as it can on the last
+    vertices; each next plan raises the rightmost count that can still
+    rise while a later count gives one back, and refills the later
+    counts from the back."""
     spots = [v for v, cap in enumerate(caps) if cap > 0]
-    # room_after[idx]: the most the spots from idx on can still take
-    room_after = [0] * (len(spots) + 1)
-    for idx in range(len(spots) - 1, -1, -1):
-        room_after[idx] = room_after[idx + 1] + caps[spots[idx]]
-
-    def rec(idx: int, left: int, acc: list[tuple[int, int]]):
-        if idx == len(spots):
-            if left == 0:
-                yield tuple(acc)
+    last = len(spots) - 1
+    counts = [0] * len(spots)
+    left = total
+    for i in range(last, -1, -1):
+        counts[i] = min(caps[spots[i]], left)
+        left -= counts[i]
+    if left:
+        return
+    while True:
+        yield tuple((v, k) for v, k in zip(spots, counts) if k)
+        tail = 0  # the primaries after position i
+        for i in range(last - 1, -1, -1):
+            tail += counts[i + 1]
+            if tail and counts[i] < caps[spots[i]]:
+                break
+        else:
             return
-        v = spots[idx]
-        low = max(0, left - room_after[idx + 1])
-        for k in range(low, min(caps[v], left) + 1):
-            if k:
-                acc.append((v, k))
-            yield from rec(idx + 1, left - k, acc)
-            if k:
-                acc.pop()
-
-    yield from rec(0, total, [])
+        counts[i] += 1
+        left = tail - 1
+        for j in range(last, i, -1):
+            counts[j] = min(caps[spots[j]], left)
+            left -= counts[j]
 
 
 class _Shape(NamedTuple):
@@ -352,7 +370,7 @@ def _dfs(
             refs = 0
             add = 0
             for c in chosen:
-                add += _mask_weight(c)
+                add += _WEIGHT[c]
                 if c not in arrived:
                     refs |= c & ~old
             if refs != granted:

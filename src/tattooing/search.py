@@ -19,7 +19,10 @@ is the least level, and each listing also gives the least bound it
 left out, so no level the loop lists is empty, and a listing and its
 isomorphism classes serve every level up to the next bound.  The
 number of orientations the report gives is counted without listing
-them (:func:`~tattooing.graphs.count_acyclic_orientations`).
+them (:func:`~tattooing.graphs.count_acyclic_orientations`).  The
+count, the listings and the isomorphism classes are kept per graph
+object, for as long as it lives, and every search of it shares them
+(:class:`_OrientationSpace`).
 
 A vertex fires once, as soon as every in-arc is tattooed, so each run
 fires the vertices of its orientation in a topological order.  The
@@ -92,6 +95,7 @@ import os
 import sys
 import time
 import warnings
+import weakref
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -443,6 +447,52 @@ class _Orientation:
             self.closing[last + 1].append((v, d.out_degree(v)))
 
 
+class _OrientationSpace:
+    """What every search of one graph shares, built as searches need it.
+
+    * ``count``: a(G), or None until a search has counted it;
+    * ``listings[(bounds, limit)]``: the codes
+      :func:`~tattooing.graphs.collect_acyclic_orientation_bits` lists
+      with that bound table and limit, and the least bound it left out
+      (``inf`` if none);
+    * ``iso_buckets``, ``iso_rep`` and ``generators``: the orbit labels
+      of :meth:`_Searcher._rep_for`.  A bucket keeps its classes' codes,
+      not their networkx digraphs, which would hold about 4 kB each for
+      as long as the graph lives.
+
+    A listing is stored only once complete, so a search stopped inside
+    one leaves nothing partial.  BRUSH and FSG have one bound table and
+    BLEND its own, so a listing serves the modes with its table.  The
+    orbit labels serve every mode and policy: the orbits of Aut(G) do
+    not depend on either, every bound table gives an orbit one bound, so
+    an orbit enters each listing whole, and the codes of a listing are
+    labelled in ascending order.  So the first code of an orbit any
+    search labels is the orbit's least, and that is every label.
+    """
+
+    def __init__(self) -> None:
+        self.count: int | None = None
+        self.listings: dict[tuple, tuple[Sequence[int], float]] = {}
+        self.iso_buckets: dict[str, list[int]] = {}
+        self.iso_rep: dict[int, int] = {}
+        self.generators: list[tuple[tuple[tuple[int, ...], ...], int]] = []
+
+
+# The orientation space of each graph object alive, by identity, and
+# freed with it.  Graphs compare by value, so a dictionary keyed by the
+# graph itself would hand one graph's space to every equal graph and
+# drop it with the first.
+_spaces: dict[int, _OrientationSpace] = {}
+
+
+def _space_of(graph: Graph) -> _OrientationSpace:
+    space = _spaces.get(id(graph))
+    if space is None:
+        space = _spaces[id(graph)] = _OrientationSpace()
+        weakref.finalize(graph, _spaces.pop, id(graph))
+    return space
+
+
 class _Searcher:
     def __init__(
         self, graph: Graph, mode: Mode, policy: Policy, limits: SearchLimits
@@ -458,19 +508,17 @@ class _Searcher:
         self.prefix = _cheap_prefix(mode, max(len(a) for a in adj))
         # bounds[v][out] = max(0, need(out) - indeg v), v's share of the
         # cost bound when out of its edges leave it
-        self.bounds = [
-            [
+        self.bounds = tuple(
+            tuple(
                 max(0, required_primaries(out, mode) - len(a) + out)
                 for out in range(len(a) + 1)
-            ]
+            )
             for a in adj
-        ]
+        )
         self._pools: dict = {}
-        self._iso_buckets: dict[str, list[tuple[int, nx.DiGraph]]] = {}
-        self._iso_rep: dict[int, int] = {}
-        self._generators: list[tuple[tuple[tuple[int, ...], ...], int]] = []
         if graph.m == 0:
             raise ValueError("the process needs at least one edge")
+        self.space = _space_of(graph)
 
     def _rep_for(self, code: int) -> int:
         """Least code of this orientation's isomorphism class.
@@ -489,43 +537,50 @@ class _Searcher:
         The vertex map of each VF2 hit is an automorphism, kept as a
         generator (:meth:`_learn`).  After every such classification the
         code's orbit under the generators found so far gets the same
-        representative, so its other members skip WL and VF2.
+        representative, so its other members skip WL and VF2.  Labels,
+        buckets and generators are the graph's orientation space's, so
+        a later search of the graph reuses them.
         """
-        got = self._iso_rep.get(code)
+        space = self.space
+        got = space.iso_rep.get(code)
         if got is not None:
             return got
-        G = nx.DiGraph()
-        G.add_nodes_from(range(self.graph.n))
-        G.add_edges_from(orient(self.graph, code).arcs)
+        G = self._nx_digraph(code)
         with warnings.catch_warnings():
             # networkx 3.5 changed these hashes; they are only compared
-            # within one search, so the change does not matter here
+            # within one process, so the change does not matter here
             warnings.filterwarnings(
                 "ignore", "The hashes produced for ", UserWarning
             )
             key = nx.weisfeiler_lehman_graph_hash(G)
-        bucket = self._iso_buckets.setdefault(key, [])
+        bucket = space.iso_buckets.setdefault(key, [])
         rep = code
-        for rep_code, rep_graph in bucket:
-            matcher = DiGraphMatcher(G, rep_graph)
+        for rep_code in bucket:
+            matcher = DiGraphMatcher(G, self._nx_digraph(rep_code))
             if matcher.is_isomorphic():
                 rep = rep_code
                 self._learn(code, rep, matcher.mapping)
                 break
         else:
-            bucket.append((code, G))
+            bucket.append(code)
         # label the code's orbit under the generators found so far
-        labels = self._iso_rep
+        labels = space.iso_rep
         labels[code] = rep
         queue = [code]
         for c in queue:
-            for action in self._generators:
+            for action in space.generators:
                 image = _act(c, action)
                 if image not in labels:
                     self.clock.tick()
                     labels[image] = rep
                     queue.append(image)
         return rep
+
+    def _nx_digraph(self, code: int) -> nx.DiGraph:
+        G = nx.DiGraph()
+        G.add_nodes_from(range(self.graph.n))
+        G.add_edges_from(orient(self.graph, code).arcs)
+        return G
 
     def _learn(self, code: int, rep: int, mapping: dict[int, int]) -> None:
         """Keep the vertex map ``mapping``, which VF2 found to take
@@ -564,14 +619,18 @@ class _Searcher:
             raise EngineError(
                 f"VF2 mapping does not take orientation {code} onto {rep}"
             )
-        if action not in self._generators:
-            self._generators.append(action)
+        if action not in self.space.generators:
+            self.space.generators.append(action)
 
     # ---- the deepening loop ----
 
     def run(self, workers: int = 1) -> IndexReport:
-        total = count_acyclic_orientations(self.graph, check=self.clock.check)
-        return self._solve(self._levels(), total, workers)
+        space = self.space
+        if space.count is None:
+            space.count = count_acyclic_orientations(
+                self.graph, check=self.clock.check
+            )
+        return self._solve(self._levels(), space.count, workers)
 
     def run_fixed(self, code: int) -> IndexReport:
         """The same optimum restricted to one orientation."""
@@ -593,18 +652,25 @@ class _Searcher:
 
         The first listing is the least level.  Each listing also gives
         the least bound of the codes it left out, so its classes serve
-        every level below that bound.
+        every level below that bound.  Listings are kept in the graph's
+        orientation space by bound table and limit, so a later search of
+        the graph with the same table lists none of them again.
         """
         c = None
+        listings = self.space.listings
         while True:
-            beyond: list[int] = []
-            codes = collect_acyclic_orientation_bits(
-                self.graph,
-                check=self.clock.check,
-                bounds=self.bounds,
-                limit=c,
-                beyond=beyond,
-            )
+            key = (self.bounds, c)
+            if key not in listings:
+                beyond: list[int] = []
+                codes = collect_acyclic_orientation_bits(
+                    self.graph,
+                    check=self.clock.check,
+                    bounds=self.bounds,
+                    limit=c,
+                    beyond=beyond,
+                )
+                listings[key] = (codes, beyond[0] if beyond else inf)
+            codes, nxt = listings[key]
             if c is None:
                 c = self._bound(codes[0])
             reps = codes
@@ -614,7 +680,6 @@ class _Searcher:
                     self.clock.tick()
                     if self._rep_for(code) == code:
                         reps.append(code)
-            nxt = beyond[0] if beyond else inf
             while c < nxt:
                 yield c, reps
                 c += 1

@@ -15,13 +15,18 @@ part of the identity set, over the JSON documents of its reports
   ``connected_graph_corpus(5)``, with one and then two primaries at
   every source, each ratio set written as its sorted ratio strings or
   its ``ValueError`` text;
+* ``oracle``: ``oracle_invariants`` on ``connected_graph_corpus(6)``,
+  each result written as its cost, label sum, raw ratio, index and
+  number of orientations;
 
-each in every mode and under every policy.  With ``--ticks`` a last
-line, ``ticks C F G``, sums the units of work (``_Searcher.clock.ticks``)
-of the searches of the first three parts; the families are searched once
-more, serially, for ``G``, as the ticks of worker processes do not come
-back.  Pytest does not collect this file, as its name does not start
-with ``test_``.
+each in every mode and under every policy.  With ``--ticks`` two last
+lines follow.  ``ticks C F G`` sums the units of work
+(``_Searcher.clock.ticks``) of the searches of the first three parts;
+the families are searched once more, serially, for ``G``, as the ticks
+of worker processes do not come back.  ``oracle_dfs N`` counts the calls
+of the oracle's DFS in the ``oracle`` part, so it shows whether the
+oracle's search tree changed.  Pytest does not collect this file, as
+its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from functools import partial
 
 from test_search_golden import FAMILIES, LIMITS, _report_doc
 
-from tattooing import search
+from tattooing import oracle, search
 from tattooing.engine import AllocationPlan, Mode, Policy
 from tattooing.graphs import (
     Graph,
@@ -42,7 +47,7 @@ from tattooing.graphs import (
     orient,
     parse_family_spec,
 )
-from tattooing.oracle import connected_graph_corpus
+from tattooing.oracle import connected_graph_corpus, oracle_invariants
 from tattooing.search import best_index, best_index_for_orientation, ratio_set
 
 # the clock of every search built in this process, as the public entry
@@ -57,6 +62,19 @@ class _Noted(search._Searcher):
 
 
 search._Searcher = _Noted
+
+# calls of the oracle's DFS, which finds itself, as its callers do,
+# through the module global
+_dfs_calls = [0]
+_dfs = oracle._dfs
+
+
+def _counted_dfs(*args):
+    _dfs_calls[0] += 1
+    return _dfs(*args)
+
+
+oracle._dfs = _counted_dfs
 
 
 def _label(graph: Graph) -> str:
@@ -113,6 +131,20 @@ def ratios() -> list:
     return docs
 
 
+def oracles() -> list:
+    """The oracle's results of the ``oracle`` part, one document each."""
+    return [
+        [
+            _label(g), mode.value, policy.value,
+            r.cost, r.label_sum, str(r.raw_ratio), str(r.index), r.orientations,
+        ]
+        for g in connected_graph_corpus(6)
+        for mode in Mode
+        for policy in Policy
+        for r in [oracle_invariants(g, mode, policy)]
+    ]
+
+
 def _sha(docs: list) -> str:
     text = json.dumps(docs, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -141,8 +173,10 @@ if __name__ == "__main__":
         size, sha, ticks = digest(part())
         sys.stdout.write(f"{part.__name__} {size} {sha}\n")
         work.append(ticks)
-    docs = ratios()
-    sys.stdout.write(f"ratios {len(docs)} {_sha(docs)}\n")
+    for name, part in (("ratios", ratios), ("oracle", oracles)):
+        docs = part()
+        sys.stdout.write(f"{name} {len(docs)} {_sha(docs)}\n")
     if "--ticks" in sys.argv[1:]:
         work[-1] = digest(families(workers=1))[2]
         sys.stdout.write(f"ticks {' '.join(map(str, work))}\n")
+        sys.stdout.write(f"oracle_dfs {_dfs_calls[0]}\n")

@@ -6,7 +6,7 @@ import hashlib
 import inspect
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -490,6 +490,25 @@ class TestSearchOrder:
                     if d.out_degree(v)
                 ]
                 assert order == want, arcs
+
+
+class TestCappedCounts:
+    def test_plans_in_order_against_a_product_filter(self):
+        # zero caps included: such a vertex takes no primary
+        for caps in product(range(4), repeat=4):
+            for total in range(sum(caps) + 2):
+                want = [
+                    tuple((v, k) for v, k in enumerate(counts) if k)
+                    for counts in product(*(range(cap + 1) for cap in caps))
+                    if sum(counts) == total
+                ]
+                got = list(oracle._capped_counts(list(caps), total))
+                assert got == want, (caps, total)
+
+    def test_mask_weights(self):
+        for mask in range(1 << 10):
+            members = [i + 1 for i in range(10) if mask >> i & 1]
+            assert oracle._mask_weight(mask) == sum(members)
 
 
 class TestIndependence:

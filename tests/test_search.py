@@ -1047,10 +1047,11 @@ class TestLearnedOrbits:
     @staticmethod
     def check(graph: Graph, mode: Mode) -> None:
         # the loop yields only representatives, so every code of a level
-        # is listed here and compared with the reference
+        # is listed here and compared with the reference; the optimum
+        # comes from a copy of the graph, so the searcher labels alone
         searcher = search._Searcher(graph, mode, Policy.SMALLEST, NO_CAP)
         reference = _ReferenceClasses(graph)
-        last = best_index(graph, mode, limits=NO_CAP).cost
+        last = best_index(Graph(graph.n, graph.edges), mode, limits=NO_CAP).cost
         for c, reps in searcher._levels():
             if c > last:
                 break
@@ -1107,7 +1108,7 @@ class TestLearnedOrbits:
         graph = family("friendship:3,3")
         searcher = search._Searcher(graph, Mode.FSG, Policy.SMALLEST, NO_CAP)
         searcher.run_fixed(collect_acyclic_orientation_bits(graph)[-1])
-        assert searcher._iso_rep == {}
+        assert searcher.space.iso_rep == {}
         assert hashed == []
 
     def test_brush_hashes_nothing(self, monkeypatch):
@@ -1124,14 +1125,16 @@ class TestLearnedOrbits:
         codes = collect_acyclic_orientation_bits(graph)
         for code in codes:
             searcher._rep_for(code)
-        assert len(searcher._iso_rep) == len(codes)
+        assert len(searcher.space.iso_rep) == len(codes)
         assert searcher.clock.ticks == len(codes) - len(hashed) > 0
 
     def test_tracer_hook_points(self, monkeypatch):
         # perfbench's tracer times class reduction by swapping the module
-        # globals ``nx`` and ``DiGraphMatcher`` for wrappers, as done here
+        # globals ``nx`` and ``DiGraphMatcher`` for wrappers, as done here;
+        # the wrappers see the graph's first search, as a later search of
+        # the same graph object reuses its orbit labels
         graph = family("friendship:3,3")
-        expected = best_index(graph, Mode.FSG, limits=NO_CAP)
+        expected = best_index(family("friendship:3,3"), Mode.FSG, limits=NO_CAP)
         hashes, tests = [], []
 
         class CountingNetworkx:
@@ -1158,6 +1161,10 @@ class TestLearnedOrbits:
         assert best_index(graph, Mode.FSG, limits=NO_CAP) == expected
         assert len(hashes) > 0
         assert len(tests) > 0
+        hashes.clear()
+        tests.clear()
+        assert best_index(graph, Mode.FSG, limits=NO_CAP) == expected
+        assert hashes == tests == []
 
     @pytest.mark.parametrize(
         "mapping,message",
@@ -1185,6 +1192,99 @@ class TestLearnedOrbits:
         monkeypatch.setattr(search, "DiGraphMatcher", Lying)
         with pytest.raises(EngineError, match=message):
             searcher._rep_for(second)
+
+
+class TestOrientationSpace:
+    """Every search of one graph object shares its orientation space:
+    a(G), the listings and the orbit labels."""
+
+    @staticmethod
+    def copy(graph: Graph) -> Graph:
+        """An equal graph object, with a space of its own."""
+        return Graph(graph.n, graph.edges)
+
+    def test_reports_do_not_depend_on_the_searches_before(self):
+        pairs = [(mode, policy) for mode in Mode for policy in Policy]
+        for g in connected_graph_corpus(6):
+            # a new graph object per call: an empty space every time
+            alone = {p: best_index(self.copy(g), *p, NO_CAP) for p in pairs}
+            forward, backward = self.copy(g), self.copy(g)
+            assert {p: best_index(forward, *p, NO_CAP) for p in pairs} == alone
+            assert {
+                p: best_index(backward, *p, NO_CAP) for p in reversed(pairs)
+            } == alone
+
+    @staticmethod
+    def record_listings(monkeypatch) -> list:
+        """The limit of every listing the search makes."""
+        limits = []
+        real = search.collect_acyclic_orientation_bits
+
+        def listing(*args, **kwargs):
+            limits.append(kwargs["limit"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "collect_acyclic_orientation_bits", listing)
+        return limits
+
+    def test_brush_and_fsg_share_their_listings(self, monkeypatch):
+        limits = self.record_listings(monkeypatch)
+        graph = family("friendship:3,5")
+        best_index(graph, Mode.BRUSH, limits=NO_CAP)
+        assert limits == [None]
+        best_index(graph, Mode.FSG, limits=NO_CAP)
+        best_index(graph, Mode.FSG, Policy.FRESH, limits=NO_CAP)
+        # FSG lists only the levels above the least; BLEND has its own
+        # bound table, so its least level is listed again
+        assert limits.count(None) == 1 and len(limits) > 1
+        best_index(graph, Mode.BLEND, limits=NO_CAP)
+        assert limits.count(None) == 2
+
+    def test_a_search_stopped_inside_a_listing_stores_none_of_it(
+        self, monkeypatch
+    ):
+        # friendship:3,4 fsg lists its least level (96 codes), then the
+        # codes of bound at most 6 (800 codes, 8 deadline checks); the
+        # deadline passes at the fourth check of that second listing
+        now = [0.0]
+        monkeypatch.setattr(
+            search, "time", SimpleNamespace(monotonic=lambda: now[0])
+        )
+        limits = self.record_listings(monkeypatch)
+        listing = search.collect_acyclic_orientation_bits
+        checks = []
+
+        def late_listing(graph, *, check, **kwargs):
+            def late_check():
+                if len(limits) == 2:
+                    checks.append(None)
+                    if len(checks) == 4:
+                        now[0] = 1e9
+                check()
+
+            return listing(graph, check=late_check, **kwargs)
+
+        monkeypatch.setattr(search, "collect_acyclic_orientation_bits", late_listing)
+        graph = family("friendship:3,4")
+        budget = SearchLimits(max_edges=30, time_budget=1.0)
+        with pytest.raises(LimitError):
+            best_index(graph, Mode.FSG, limits=budget)
+        assert limits == [None, 6] and len(checks) == 4
+        assert [limit for _, limit in search._space_of(graph).listings] == [None]
+        monkeypatch.undo()
+        unshared = best_index(self.copy(graph), Mode.FSG, limits=NO_CAP)
+        assert best_index(graph, Mode.FSG, limits=NO_CAP) == unshared
+
+    def test_space_is_freed_with_its_graph(self):
+        graph = family("friendship:3,3")
+        report = best_index(graph, Mode.FSG, limits=NO_CAP)
+        space = weakref.ref(search._space_of(graph))
+        assert space().listings and space().iso_rep
+        key = id(graph)
+        del graph, report
+        gc.collect()
+        assert space() is None
+        assert key not in search._spaces
 
 
 class TestLimits:
