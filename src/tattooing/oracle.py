@@ -37,6 +37,17 @@ those same cuts before the plans are listed: every skipped call is one
 the DFS would reject on its first test with the same incumbent.  The
 answer is the lexicographic minimum over a fixed search space, so the
 order does not change it.
+
+Set choices: one call of ``oracle_invariants`` keeps a memo of what
+each firing may send, shared by all its orientations and dropped when
+the call returns.  A firing's held mask and its admissible choices
+(each choice of ``t`` pool sets that spends exactly the primaries
+granted, with its weight, in ``combinations`` order) read only its
+holding ``old``, the blends ``arrived`` at it, ``t``, the mode and the
+grant.  Under SMALLEST the grant is a function of ``old`` and the count
+``extra``; under FRESH, of the counter ``fresh`` and ``extra``.  The
+mode and the policy are fixed for the call, so the key ``(old, fresh
+under FRESH else 0, extra, arrived, t)`` is complete.
 """
 
 from __future__ import annotations
@@ -122,6 +133,10 @@ def oracle_invariants(
         raise TypeError(f"mode must be a Mode, got {mode!r}")
     if not isinstance(policy, Policy):
         raise TypeError(f"policy must be a Policy, got {policy!r}")
+    if cost_bound is not None and (
+        not isinstance(cost_bound, int) or isinstance(cost_bound, bool)
+    ):
+        raise TypeError(f"cost_bound must be an int, got {cost_bound!r}")
     m = graph.m
     if m == 0:
         raise ValueError("the process needs at least one edge")
@@ -139,8 +154,9 @@ def oracle_invariants(
             if cost <= bound:
                 _offer(best, cost, m)
     else:
+        choices: dict = {}  # shared by this call's shapes, see _dfs
         shapes = [
-            _shape(graph.n, arcs, order, mode)
+            _shape(graph.n, arcs, order, mode, choices)
             for arcs, order in _acyclic_arc_lists(graph)
         ]
         orientations = len(shapes)
@@ -280,10 +296,18 @@ class _Shape(NamedTuple):
     caps: list[int]
     # the least label sum any run on this orientation can reach
     floor: int
+    # the mode's _cheapest_distinct_weights
+    prefix: tuple[int, ...]
+    # the call's memo of set choices, shared by all its shapes
+    choices: dict
 
 
 def _shape(
-    n: int, arcs: list[tuple[int, int]], order: list[int], mode: Mode
+    n: int,
+    arcs: list[tuple[int, int]],
+    order: list[int],
+    mode: Mode,
+    choices: dict,
 ) -> _Shape:
     out_arcs: list[list[int]] = [[] for _ in range(n)]
     for i, (t, _) in enumerate(arcs):
@@ -291,7 +315,7 @@ def _shape(
     caps = [_needed(len(out_arcs[v]), mode) for v in range(n)]
     prefix = _cheapest_distinct_weights(mode)
     floor = sum(prefix[len(out_arcs[v])] for v in range(n))
-    return _Shape(arcs, out_arcs, order, caps, floor)
+    return _Shape(arcs, out_arcs, order, caps, floor, prefix, choices)
 
 
 def _search_level(
@@ -336,7 +360,17 @@ def _dfs(
     """Fire ``shape.order[depth]``; ``floor`` is the least weight the
     out-arcs of it and every later vertex can carry.  ``cost`` is within
     ``bound`` and not above the incumbent's: the caller and the
-    ``extra`` loop below both see to it."""
+    ``extra`` loop below both see to it.
+
+    For each ``extra``, the held mask and the admissible set choices
+    come from ``shape.choices``, the memo of the one
+    ``oracle_invariants`` call, keyed by ``(old, fresh under FRESH else
+    0, extra, arrived, t)`` and filled by ``_set_choices`` on a miss.
+    The key is complete: the grant reads ``old`` and ``extra`` under
+    SMALLEST and ``fresh`` and ``extra`` under FRESH, the pool and the
+    filter read ``old``, the grant, ``arrived`` and ``t``, and the mode
+    and policy are fixed for the call.  The choices keep the order a
+    fresh build lists them in, so the search tree is the same."""
     if best[0] is not None and cost == best[0]:
         if ssum + floor >= best[1]:
             return
@@ -348,33 +382,22 @@ def _dfs(
     t = len(todo)
     old = present[v]
     arrived = blends[v]
-    rest_floor = floor - _cheapest_distinct_weights(mode)[t]
+    rest_floor = floor - shape.prefix[t]
+    counter = fresh if policy is Policy.FRESH else 0
+    memo = shape.choices
     for extra in range(0, shape.caps[v] + 1):
         if cost + extra > bound:
             break
         if best[0] is not None and cost + extra > best[0]:
             break
-        granted = _grant(old, policy, fresh, extra)
-        held = old | granted
-        if mode is Mode.FSG:
-            pool = [1 << b for b in range(held.bit_length()) if (held >> b) & 1]
-        else:
-            pool = _submasks(held)
-            for b in arrived:
-                if b & ~held:
-                    pool.append(b)
-        pool.sort(key=_mask_weight)
-        if len(pool) < t:
-            continue
-        for chosen in combinations(pool, t):
-            refs = 0
-            add = 0
-            for c in chosen:
-                add += _WEIGHT[c]
-                if c not in arrived:
-                    refs |= c & ~old
-            if refs != granted:
-                continue
+        key = (old, counter, extra, arrived, t)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _set_choices(
+                old, arrived, t, mode, _grant(old, policy, fresh, extra)
+            )
+        held, options = found
+        for chosen, add in options:
             if (
                 best[0] is not None
                 and cost + extra == best[0]
@@ -397,6 +420,35 @@ def _dfs(
                     fresh + (extra if policy is Policy.FRESH else 0),
                     depth + 1, rest_floor,
                 )
+
+
+def _set_choices(
+    old: int, arrived: frozenset, t: int, mode: Mode, granted: int
+) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """The held mask of a firing that holds ``old``, has received the
+    blends ``arrived`` and is granted ``granted``, and each choice of
+    ``t`` of its pool sets, in ``combinations`` order, that spends
+    exactly the grant, with its weight."""
+    held = old | granted
+    if mode is Mode.FSG:
+        pool = [1 << b for b in range(held.bit_length()) if (held >> b) & 1]
+    else:
+        pool = _submasks(held)
+        for b in arrived:
+            if b & ~held:
+                pool.append(b)
+    pool.sort(key=_mask_weight)
+    options = []
+    for chosen in combinations(pool, t):
+        refs = 0
+        add = 0
+        for c in chosen:
+            add += _WEIGHT[c]
+            if c not in arrived:
+                refs |= c & ~old
+        if refs == granted:
+            options.append((chosen, add))
+    return held, options
 
 
 def _grant(held: int, policy: Policy, fresh: int, count: int) -> int:

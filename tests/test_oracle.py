@@ -410,6 +410,13 @@ class TestOracleValues:
         with pytest.raises(ValueError):
             oracle_invariants(family("cycle:3"), Mode.BLEND, cost_bound=1)
 
+    @pytest.mark.parametrize("bound", [2.5, "3", True])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_cost_bound_must_be_an_int(self, mode, bound):
+        # one refusal in every mode, before any mode's search starts
+        with pytest.raises(TypeError, match="cost_bound must be an int"):
+            oracle_invariants(family("cycle:3"), mode, cost_bound=bound)
+
     def test_brush_label_sum_is_edge_count(self):
         for g in connected_graph_corpus(4):
             r = oracle_invariants(g, Mode.BRUSH)
@@ -449,6 +456,42 @@ class TestSearchOrder:
         assert _reference_oracle(g, mode, cost_bound=free.cost) == free
         with pytest.raises(ValueError, match="within the cost bound"):
             oracle_invariants(g, mode, cost_bound=free.cost - 1)
+
+    def test_search_tree_pinned(self, monkeypatch):
+        # the DFS calls over the corpus, counted as tests/identity.py
+        # counts them; memoising set choices must not move this number
+        calls = 0
+        dfs = oracle._dfs
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return dfs(*args)
+
+        monkeypatch.setattr(oracle, "_dfs", counted)
+        for g in connected_graph_corpus(5):
+            for mode in Mode:
+                for policy in Policy:
+                    oracle_invariants(g, mode, policy)
+        assert calls == 21542
+
+    def test_set_choices_memo_lives_for_one_call(self, monkeypatch):
+        builds = 0
+        build = oracle._set_choices
+
+        def counted(*args):
+            nonlocal builds
+            builds += 1
+            return build(*args)
+
+        monkeypatch.setattr(oracle, "_set_choices", counted)
+        g = family("wheel:3")
+        oracle_invariants(g, Mode.BLEND, Policy.FRESH)
+        first = builds
+        # a second call builds every choice again: nothing was kept
+        oracle_invariants(g, Mode.BLEND, Policy.FRESH)
+        assert first > 0
+        assert builds == 2 * first
 
     def test_no_root_starts_beyond_the_incumbent(self, monkeypatch):
         roots = []
