@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 a failed verify or sweep, or standard output
 that cannot be written (a closed pipe, a full disk), 2 input or parse
 failure (a malformed document and a ``--csv`` file that cannot be written
-included), 3 search-limit refusal, 4 witness replay mismatch or a witness
-that breaks the process rules.  All rationals are printed reduced, as
-``p/q`` (or a bare integer when the denominator is one).
+included), 3 search-limit refusal or memory running out, 4 witness replay
+mismatch or a witness that breaks the process rules.  All rationals are
+printed reduced, as ``p/q`` (or a bare integer when the denominator is
+one).
 """
 
 from __future__ import annotations
@@ -851,6 +852,9 @@ def main(argv=None) -> int:
         return 2
     except LimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("refused: out of memory", file=sys.stderr)
         return 3
     except EngineError as exc:
         print(f"inconsistent result: {exc}", file=sys.stderr)

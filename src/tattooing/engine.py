@@ -29,7 +29,7 @@ masks whose bit i is primary i + 1 (``_pool_masks``, ``_sort_key``,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -116,14 +116,14 @@ class ColourSet:
 
     def sort_key(self) -> tuple[int, int, tuple[int, ...]]:
         """Order pools by weight, then cardinality, then members."""
-        return (self.weight, len(self.members), self.members)
+        return _order(self.members)
 
     def mask(self) -> int:
-        return sum(1 << (p - 1) for p in self.members)
+        return _mask(self.members)
 
     @classmethod
     def from_mask(cls, mask: int) -> ColourSet:
-        return cls(tuple(p + 1 for p in range(mask.bit_length()) if (mask >> p) & 1))
+        return cls(_sort_key(mask)[2])
 
     def __str__(self) -> str:
         return "{" + ",".join(str(p) for p in self.members) + "}"
@@ -299,12 +299,17 @@ def ready_vertices(state: ProcessState) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _mask(primaries: Iterable[int]) -> int:
+    return sum(1 << (p - 1) for p in primaries)
+
+
+def _order(members: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    return (sum(members), len(members), members)
+
+
 @functools.cache
 def _sort_key(mask: int) -> tuple[int, int, tuple[int, ...]]:
-    members = tuple(
-        i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1
-    )
-    return (sum(members), len(members), members)
+    return _order(tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1))
 
 
 def _pool_masks(
@@ -370,11 +375,11 @@ def mutate_pool(
     _check_vertex(state, vertex)
     if state.mode is Mode.BRUSH:
         raise ValueError("anonymous brush tokens form no colour pool")
-    held = sum(1 << (p - 1) for p in state.primaries_present[vertex])
+    held = _mask(state.primaries_present[vertex])
     arrived = {c.mask(): c for c in state.arrived_blends[vertex]}
-    # an arrived blend is passed on as it came; a key ends in its members
+    # an arrived blend is passed on as it came
     return tuple([
-        arrived.get(mask) or ColourSet(_sort_key(mask)[2])
+        arrived.get(mask) or ColourSet.from_mask(mask)
         for mask in _pool_masks(held, arrived, state.mode, check)
     ])
 
@@ -444,8 +449,9 @@ def fire(
         new_needed.update(set(c.members) - present)
     if new_needed:
         # every non-arrived set becomes formable once these are granted
-        held = sum(1 << (p - 1) for p in present)
-        grant = _grant_mask(held, state.policy, state.cost, len(new_needed))
+        grant = _grant_mask(
+            _mask(present), state.policy, state.cost, len(new_needed)
+        )
         # compared as members: a mask is as wide as the largest primary
         granted = _sort_key(grant)[2]
         if tuple(sorted(new_needed)) != granted:
@@ -454,27 +460,25 @@ def fire(
                 f"{state.policy.value} policy grants {list(granted)}"
             )
 
+    # only the fired vertex and its heads change colours; no two arcs
+    # share a head
     status = list(state.arc_status)
-    pres = [set(p) for p in state.primaries_present]
-    blends = [set(b) for b in state.arrived_blends]
+    pres = list(state.primaries_present)
+    blends = list(state.arrived_blends)
+    if new_needed:
+        pres[vertex] = tuple(sorted(present | new_needed))
     for i, c in items:
         status[i] = c
         h = d.head(i)
         if c.is_blend:
-            blends[h].add(c)
+            blends[h] = tuple(sorted({*blends[h], c}, key=ColourSet.sort_key))
         else:
-            pres[h].add(c.members[0])
-    pres[vertex].update(new_needed)
-    return ProcessState(
-        digraph=d,
-        mode=state.mode,
-        policy=state.policy,
+            pres[h] = tuple(sorted({*pres[h], *c.members}))
+    return replace(
+        state,
         arc_status=tuple(status),
-        primaries_present=tuple(tuple(sorted(p)) for p in pres),
-        arrived_blends=tuple(
-            tuple(sorted(b, key=ColourSet.sort_key)) for b in blends
-        ),
-        brush_tokens=state.brush_tokens,
+        primaries_present=tuple(pres),
+        arrived_blends=tuple(blends),
         cost=state.cost + len(new_needed),
     )
 
@@ -482,26 +486,19 @@ def fire(
 def _fire_brush(
     state: ProcessState, vertex: int, untat: tuple[int, ...]
 ) -> ProcessState:
-    d = state.digraph
-    have = state.brush_tokens[vertex]
-    need = len(untat)
-    aug = max(0, need - have)
+    have, need = state.brush_tokens[vertex], len(untat)
     tokens = list(state.brush_tokens)
-    tokens[vertex] = have + aug - need
+    tokens[vertex] = max(0, have - need)
     status = list(state.arc_status)
-    token_label = ColourSet.single(1)
+    token = ColourSet.single(1)
     for i in untat:
-        status[i] = token_label
-        tokens[d.head(i)] += 1
-    return ProcessState(
-        digraph=d,
-        mode=state.mode,
-        policy=state.policy,
+        status[i] = token
+        tokens[state.digraph.head(i)] += 1
+    return replace(
+        state,
         arc_status=tuple(status),
-        primaries_present=state.primaries_present,
-        arrived_blends=state.arrived_blends,
         brush_tokens=tuple(tokens),
-        cost=state.cost + aug,
+        cost=state.cost + max(0, need - have),
     )
 
 

@@ -1020,15 +1020,13 @@ class _Searcher:
         return Witness(code, self.policy, plan, events)
 
     def _brush_witness(self, code: int) -> Witness:
-        """Tokens for each vertex's out-degree surplus, then every vertex
-        with out-arcs firing in order, smallest ready id first."""
+        """Each vertex's share of the bound (its out-degree surplus) in
+        tokens, then every vertex with out-arcs firing, smallest ready
+        id first."""
         d = orient(self.graph, code)
-        initial = []
-        for v in range(self.graph.n):
-            lack = d.out_degree(v) - d.in_degree(v)
-            if lack > 0:
-                initial.append((v, lack))
-        return Witness(code, self.policy, tuple(initial), _brush_events(d))
+        shares = [share[d.out_degree(v)] for v, share in enumerate(self.bounds)]
+        initial = tuple((v, k) for v, k in enumerate(shares) if k)
+        return Witness(code, self.policy, initial, _brush_events(d))
 
 
 def _brush_events(d: Digraph) -> tuple[FireEvent, ...]:

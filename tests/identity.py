@@ -25,16 +25,31 @@ lines follow.  ``ticks C F G`` sums the units of work
 the families are searched once more, serially, for ``G``, as the ticks
 of worker processes do not come back.  ``oracle_dfs N`` counts the calls
 of the oracle's DFS in the ``oracle`` part, so it shows whether the
-oracle's search tree changed.  Pytest does not collect this file, as
-its name does not start with ``test_``.
+oracle's search tree changed.
+
+``--against SRC`` makes that comparison one command: it runs the
+identity set with ``--ticks`` in one child process with ``PYTHONPATH``
+at this checkout's ``src`` and in another with ``PYTHONPATH=SRC``,
+prints each line that differs (``-`` from SRC, ``+`` from this
+checkout) and exits 1 if any does, 0 if none does::
+
+    PYTHONPATH=src python tests/identity.py --against ../parent/src
+
+Pytest does not collect this file, as its name does not start with
+``test_``.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from functools import partial
+from itertools import zip_longest
+from pathlib import Path
 
 from test_search_golden import FAMILIES, LIMITS, _report_doc
 
@@ -167,7 +182,33 @@ def digest(cases: list) -> tuple[int, str, int]:
     return len(docs), _sha(docs), sum(clock.ticks for clock in _clocks)
 
 
+def against(src: str) -> int:
+    """Print the ``--ticks`` lines that differ between this checkout's
+    ``src`` and ``src``, each run in a child process; 1 if any do."""
+    script = Path(__file__).resolve()
+    sides = []
+    for path in (src, script.parents[1] / "src"):
+        env = dict(os.environ, PYTHONPATH=str(Path(path).resolve()))
+        child = subprocess.run(
+            [sys.executable, str(script), "--ticks"],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        if child.returncode:
+            sys.exit(f"the identity set failed on {path}")
+        sides.append(child.stdout.splitlines())
+    differ = [(a, b) for a, b in zip_longest(*sides) if a != b]
+    for theirs, ours in differ:
+        sys.stdout.write(f"- {theirs}\n+ {ours}\n")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--ticks", action="store_true")
+    parser.add_argument("--against", metavar="SRC")
+    args = parser.parse_args()
+    if args.against:
+        sys.exit(against(args.against))
     work = []
     for part in (corpus, fixed, families):
         size, sha, ticks = digest(part())
@@ -176,7 +217,7 @@ if __name__ == "__main__":
     for name, part in (("ratios", ratios), ("oracle", oracles)):
         docs = part()
         sys.stdout.write(f"{name} {len(docs)} {_sha(docs)}\n")
-    if "--ticks" in sys.argv[1:]:
+    if args.ticks:
         work[-1] = digest(families(workers=1))[2]
         sys.stdout.write(f"ticks {' '.join(map(str, work))}\n")
         sys.stdout.write(f"oracle_dfs {_dfs_calls[0]}\n")

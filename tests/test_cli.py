@@ -348,8 +348,12 @@ class TestComputeOrientation:
                 ("--allocate", "0:1", "--mode", "brush"),
                 "without augmentation",
             ),
+            (("--allocate", "x"), "bad allocation 'x'"),
+            (("--allocate", "0"), "bad allocation '0'"),
+            (("--allocate", "0:1.5"), "bad allocation '0:1.5'"),
         ],
-        ids=["unknown-vertex", "no-completion", "brush-augmentation"],
+        ids=["unknown-vertex", "no-completion", "brush-augmentation",
+             "no-colon", "no-count", "float-count"],
     )
     def test_ratio_set_allocation_that_cannot_run_exits_2(
         self, capsys, extra, message
@@ -678,6 +682,25 @@ class TestReplay:
         code, out, err = run(capsys, "compute", "--replay", str(path))
         assert (code, out, err) == (expect, "", message + "\n")
 
+    @pytest.mark.parametrize("entry", ["replay", "allocate"])
+    def test_out_of_memory_exits_3(self, capsys, tmp_path, entry):
+        # CPython refuses a tuple of 2^62 primaries before allocating it,
+        # whatever the kernel would overcommit
+        count = 2**62
+        if entry == "replay":
+            doc = json.loads(json.dumps(CYCLE5_DOC))
+            doc["witness"]["initial"] = [[0, count]]
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            argv = ("--replay", str(path))
+        else:
+            argv = (
+                "--family", "cycle:5", "--quantity", "ratio-set",
+                "--orientation", "0", "--allocate", f"0:{count}",
+            )
+        code, out, err = run(capsys, "compute", *argv)
+        assert (code, out, err) == (3, "", "refused: out of memory\n")
+
     @pytest.mark.parametrize(
         "path,value,message",
         [
@@ -844,6 +867,17 @@ class TestVerify:
         assert code == 0
         assert "Fr(3,4) fsg label sum vs closed form: DISCREPANCY" in out
         assert "Joost(3,2) fsg label sum vs closed form: PASS" in out
+
+    @pytest.mark.parametrize(
+        "printed,row",
+        [
+            (False, cli.Row("x", cli.FAIL)),
+            (True, cli.Row("x", cli.FAIL, "engine 3 exceeds printed 2")),
+        ],
+        ids=["unprinted-mismatch", "above-printed"],
+    )
+    def test_row_fails(self, printed, row):
+        assert cli._row("x", 3, 2, printed) == row
 
     def test_oracle_suite_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "oracle", "--json")
@@ -1016,8 +1050,12 @@ class TestSweep:
               "--count", "-1"), "--count"),
             (("--family", "random", "--vertices", "4", "--edges", "4",
               "--count", "0"), "--count"),
+            # a tree on 30 vertices is hardly ever drawn at random
+            (("--family", "random", "--vertices", "30", "--edges", "29"),
+             "could not sample enough connected graphs"),
         ],
-        ids=["empty-n", "bad-n", "empty-k", "negative-count", "zero-count"],
+        ids=["empty-n", "bad-n", "empty-k", "negative-count", "zero-count",
+             "unsampled"],
     )
     def test_no_instance_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, "sweep", *argv, "--no-timing")

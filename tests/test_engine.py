@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from tattooing import engine
 from tattooing.engine import (
     AllocationPlan,
     ColourSet,
@@ -76,6 +77,13 @@ class TestColourSet:
         c = cs(1, 3, 4)
         assert c.mask() == 0b1101
         assert ColourSet.from_mask(0b1101) == c
+        # every mask below 2^10; the empty mask is no colour set
+        for m in range(1, 1 << 10):
+            c = ColourSet.from_mask(m)
+            assert c.mask() == m
+            assert c.sort_key() == engine._sort_key(m)
+        with pytest.raises(ValueError, match="non-empty"):
+            ColourSet.from_mask(0)
 
     def test_str(self):
         assert str(cs(2, 5)) == "{2,5}"
